@@ -1,7 +1,8 @@
 // Min-Hash sketch micro-bench: per-quantum sketch build cost and the
-// window-merge cost of the two reduction strategies — the serial left fold
-// (the shape of the replaced rebuild-from-folded-union scheme) vs the
-// pairwise tree reduction the AKG builder now uses.
+// window-merge cost of two reductions — a left fold through the
+// allocating Combine vs CombineTree, the in-place left fold the AKG
+// builder now uses (it replaced a pairwise tree reduction; the JSON keys
+// keep their historical names for scripts/bench_trend.py).
 //
 // Runs a synthetic trace through the canonical aggregation path, caches
 // every keyword's per-quantum sketches, then times:
@@ -10,7 +11,7 @@
 //                              aggregate entry, unweighted and weighted;
 //   * serial_fold_ns_per_window / tree_reduce_ns_per_window — producing
 //     every keyword's window sketch from its cached per-quantum sketches,
-//     once by left fold, once by CombineTree (both reductions give
+//     once by allocating left fold, once by CombineTree (both give
 //     bit-identical sketches; the harness verifies it).
 //
 // With --json FILE the results are written as a flat metric dict
@@ -102,7 +103,7 @@ int main(int argc, char** argv) {
                 build_ns[weighted ? 1 : 0], built);
   }
 
-  // --- window merge: serial fold vs tree reduce over the same rings ---
+  // --- window merge: allocating fold vs CombineTree over the same rings ---
   const WeightedMinHasher hasher(kP, 0x5ca1ab1eULL, /*weighted=*/true);
   std::unordered_map<scprt::KeywordId, KeywordRing> rings;
   for (const scprt::akg::QuantumAggregate& aggregate : aggregates) {
@@ -149,7 +150,7 @@ int main(int argc, char** argv) {
       }
     }
     tree_ns = watch.ElapsedSeconds() * 1e9 / (kRounds * rings.size());
-    std::printf("tree reduce           : %8.1f ns/window (checksum %zu)\n",
+    std::printf("CombineTree (in place): %8.1f ns/window (checksum %zu)\n",
                 tree_ns, sink);
   }
 
@@ -163,7 +164,7 @@ int main(int argc, char** argv) {
       ++mismatches;
     }
   }
-  std::printf("fold vs tree          : %s\n",
+  std::printf("fold vs CombineTree   : %s\n",
               mismatches == 0 ? "bit-identical" : "DIVERGED (bug!)");
   if (mismatches != 0) return 1;
 

@@ -94,7 +94,7 @@ GraphDelta AkgBuilder::ProcessAggregate(const QuantumAggregate& aggregate) {
 
   // --- 4. Refresh signatures of keywords whose id sets changed and are
   //        relevant this quantum: set (1) bursty + set (2) AKG-and-seen.
-  //        Each window sketch is a Combine tree over the keyword's cached
+  //        Each window sketch is a Combine fold over the keyword's cached
   //        per-quantum sketches (no rehash of the folded window id set);
   //        sketches depend only on their own ring entries, so the batch
   //        runs through the parallel hook; writes into signatures_ stay on
@@ -104,7 +104,7 @@ GraphDelta AkgBuilder::ProcessAggregate(const QuantumAggregate& aggregate) {
                  update.seen_in_akg.end());
   std::vector<KeywordSignature> refreshed(refresh.size());
   {
-    // Window-sketch Combine-tree cost for the whole refresh batch — the
+    // Window-sketch Combine-fold cost for the whole refresh batch — the
     // per-quantum merge bill of the sketch window.
     static obs::Histogram* const refresh_hist =
         obs::Registry::Default().GetHistogram("akg.signature_refresh_ns");
@@ -150,17 +150,13 @@ GraphDelta AkgBuilder::ProcessAggregate(const QuantumAggregate& aggregate) {
   }
   last_stats_.pairs_screened = candidates.size();
 
-  // Screen serially (cheap signature comparison), batch the EC
-  // computations through the parallel hook (pure reads of id sets and
-  // signatures), then apply results in candidate order.
+  // The bucket join already is the Min-Hash screen (every candidate shares
+  // a signature value; kExact takes every pair). Batch the EC computations
+  // of the pairs not yet connected through the parallel hook (pure reads
+  // of id sets and signatures), then apply results in candidate order.
   std::vector<std::pair<KeywordId, KeywordId>> add_jobs;
   for (const auto& [a, b] : candidates) {
-    if (akg_.HasEdge(a, b)) continue;
-    if (!PassesScreen(config_.ec_mode, signatures_[a].values,
-                      signatures_[b].values)) {
-      continue;
-    }
-    add_jobs.emplace_back(a, b);
+    if (!akg_.HasEdge(a, b)) add_jobs.emplace_back(a, b);
   }
   std::vector<double> add_ecs(add_jobs.size());
   parallel_for_(add_jobs.size(), [&](std::size_t i) {
@@ -236,15 +232,15 @@ GraphDelta AkgBuilder::ProcessAggregate(const QuantumAggregate& aggregate) {
 WeightedSketch AkgBuilder::ExportClusterSketch(
     const std::vector<KeywordId>& keywords) const {
   const std::size_t p = sketch_window_.hasher().p();
-  std::vector<WeightedSketch> parts;
-  parts.reserve(keywords.size());
+  WeightedSketch sketch;
+  WeightedSketch scratch;
   for (KeywordId keyword : keywords) {
     const auto it = signatures_.find(keyword);
-    if (it != signatures_.end() && !it->second.sketch.empty()) {
-      parts.push_back(it->second.sketch);
+    if (it != signatures_.end()) {
+      WeightedMinHasher::FoldInto(sketch, it->second.sketch, p, scratch);
     }
   }
-  return WeightedMinHasher::CombineTree(std::move(parts), p);
+  return sketch;
 }
 
 std::size_t AkgBuilder::sketch_size() const {

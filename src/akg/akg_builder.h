@@ -111,7 +111,7 @@ class AkgBuilder {
     return id_sets_.WindowSupport(keyword);
   }
 
-  /// Exports a cluster-level user sketch: the Combine tree of the member
+  /// Exports a cluster-level user sketch: the Combine fold of the member
   /// keywords' current window sketches, bottom-p overall. Because Combine
   /// is first-key-wins, a user active in several member keywords (or
   /// spamming one of them) still occupies exactly one slot — the sketch is
@@ -150,7 +150,7 @@ class AkgBuilder {
   std::function<bool(KeywordId)> in_cluster_;
   UserIdSets id_sets_;
   NodeStateAutomaton node_state_;
-  // Per-quantum sketch ring: window signatures come from its Combine tree,
+  // Per-quantum sketch ring: window signatures come from its Combine fold,
   // never from rehashing the folded window id set.
   SketchWindow sketch_window_;
   graph::DynamicGraph akg_;

@@ -18,10 +18,4 @@ double ComputeEc(EcMode mode, bool weighted, const UserIdSets& sets,
   return 0.0;
 }
 
-bool PassesScreen(EcMode mode, const MinHashSignature& sig_a,
-                  const MinHashSignature& sig_b) {
-  if (mode == EcMode::kExact) return true;
-  return MinHasher::SharesValue(sig_a, sig_b);
-}
-
 }  // namespace scprt::akg

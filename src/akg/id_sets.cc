@@ -7,58 +7,70 @@
 namespace scprt::akg {
 
 UserIdSets::UserIdSets(std::size_t window_length)
-    : window_length_(window_length) {
+    : window_length_(window_length),
+      shards_(kIdSetShards),
+      owned_(kIdSetShards) {
   SCPRT_CHECK(window_length >= 1);
+  for (Shard& shard : shards_) shard.history.resize(window_length_);
 }
 
 void UserIdSets::BeginQuantum() {
   SCPRT_CHECK(!quantum_open_);
   quantum_open_ = true;
-  for (Shard& shard : shards_) shard.current.clear();
+  pending_.clear();
 }
 
 void UserIdSets::Add(KeywordId keyword, UserId user) {
   SCPRT_DCHECK(quantum_open_);
-  shards_[ShardOf(keyword)].current[keyword].insert(user);
+  pending_.emplace_back(keyword, user);
 }
 
-void UserIdSets::ExpireShard(Shard& shard) {
-  if (shard.history.size() <= window_length_) return;
-  for (const auto& [keyword, user] : shard.history.front()) {
-    auto wit = shard.window.find(keyword);
-    SCPRT_DCHECK(wit != shard.window.end());
-    auto uit = wit->second.find(user);
-    SCPRT_DCHECK(uit != wit->second.end());
-    if (--uit->second == 0) wit->second.erase(uit);
-    if (wit->second.empty()) shard.window.erase(wit);
+void UserIdSets::EndQuantum() {
+  SCPRT_CHECK(quantum_open_);
+  quantum_open_ = false;
+  std::sort(pending_.begin(), pending_.end());
+  pending_.erase(std::unique(pending_.begin(), pending_.end()),
+                 pending_.end());
+  // The distinct pairs, sorted, are exactly a canonical aggregate whose
+  // message counts are never read here.
+  QuantumAggregate aggregate;
+  for (const auto& [keyword, user] : pending_) {
+    if (aggregate.keywords.empty() ||
+        aggregate.keywords.back().keyword != keyword) {
+      aggregate.keywords.push_back({keyword, {}, {}});
+    }
+    aggregate.keywords.back().users.push_back(user);
   }
-  shard.history.pop_front();
+  IngestAggregate(aggregate, nullptr);
 }
 
-template <typename Users>
-void UserIdSets::FoldKeyword(
-    Shard& shard, KeywordId keyword, const Users& users,
-    std::vector<std::pair<KeywordId, UserId>>& compact) {
-  shard.last_quantum_support[keyword] =
-      static_cast<std::uint32_t>(users.size());
+void UserIdSets::FoldKeyword(Shard& shard, KeywordId keyword,
+                             const std::vector<UserId>& users, Pairs& pairs) {
+  bool opened;
+  const std::uint32_t slot = shard.slots.Acquire(keyword, &opened);
+  if (slot >= shard.keywords.size()) shard.keywords.resize(slot + 1);
+  KeywordState& state = shard.keywords[slot];
+  state.last_support = static_cast<std::uint32_t>(users.size());
+  shard.last_slots.push_back(slot);
   shard.last_quantum_keywords.push_back(keyword);
-  UserCounts& counts = shard.window[keyword];
   for (UserId user : users) {
-    ++counts[user];
-    compact.emplace_back(keyword, user);
+    state.users.Increment(user);
+    pairs.emplace_back(keyword, user);
   }
 }
 
-void UserIdSets::FoldShard(Shard& shard) {
-  shard.last_quantum_support.clear();
-  shard.last_quantum_keywords.clear();
-  std::vector<std::pair<KeywordId, UserId>> compact;
-  for (const auto& [keyword, users] : shard.current) {
-    FoldKeyword(shard, keyword, users, compact);
+void UserIdSets::ExpirePairs(Shard& shard, const Pairs& pairs) {
+  // Pairs are grouped by keyword: one slot lookup per keyword run.
+  for (std::size_t i = 0; i < pairs.size();) {
+    const KeywordId keyword = pairs[i].first;
+    const std::uint32_t slot = shard.slots.Find(keyword);
+    SCPRT_DCHECK(slot != KeywordSlots::kNone);
+    FlatU32Map& users = shard.keywords[slot].users;
+    for (; i < pairs.size() && pairs[i].first == keyword; ++i) {
+      users.Decrement(pairs[i].second);
+    }
+    if (users.empty()) shard.slots.Release(keyword);
   }
-  shard.current.clear();
-  shard.history.push_back(std::move(compact));
-  ExpireShard(shard);
 }
 
 void UserIdSets::MergeQuantumKeywords() {
@@ -74,77 +86,77 @@ void UserIdSets::MergeQuantumKeywords() {
   std::sort(last_quantum_keywords_.begin(), last_quantum_keywords_.end());
 }
 
-void UserIdSets::EndQuantum() {
-  SCPRT_CHECK(quantum_open_);
-  quantum_open_ = false;
-  for (Shard& shard : shards_) FoldShard(shard);
-  MergeQuantumKeywords();
-}
-
 void UserIdSets::IngestAggregate(const QuantumAggregate& aggregate,
                                  const ParallelForFn& parallel_for) {
   SCPRT_CHECK(!quantum_open_);
   // One routing pass up front so each shard folds only its own entries
   // instead of re-scanning the whole aggregate.
-  std::vector<std::vector<std::uint32_t>> owned(kIdSetShards);
+  for (auto& owned : owned_) owned.clear();
   for (std::uint32_t i = 0; i < aggregate.keywords.size(); ++i) {
-    owned[ShardOf(aggregate.keywords[i].keyword)].push_back(i);
+    owned_[ShardOf(aggregate.keywords[i].keyword)].push_back(i);
   }
+  // The new quantum takes the ring position of the oldest one when the
+  // window is full (that quantum expires first), the next free one
+  // otherwise.
+  const bool full = depth_ == window_length_;
+  const std::size_t pos = RingPos(full ? 0 : depth_);
   const auto ingest_shard = [&](std::size_t s) {
     Shard& shard = shards_[s];
-    shard.last_quantum_support.clear();
-    shard.last_quantum_keywords.clear();
-    std::vector<std::pair<KeywordId, UserId>> compact;
-    for (std::uint32_t i : owned[s]) {
-      const QuantumAggregate::Entry& entry = aggregate.keywords[i];
-      FoldKeyword(shard, entry.keyword, entry.users, compact);
+    for (std::uint32_t slot : shard.last_slots) {
+      shard.keywords[slot].last_support = 0;
     }
-    shard.history.push_back(std::move(compact));
-    ExpireShard(shard);
+    shard.last_slots.clear();
+    shard.last_quantum_keywords.clear();
+    Pairs& pairs = shard.history[pos];
+    if (full) ExpirePairs(shard, pairs);
+    pairs.clear();
+    // Exact reservation: a reused buffer grows only to its largest quantum.
+    std::size_t count = 0;
+    for (std::uint32_t i : owned_[s]) {
+      count += aggregate.keywords[i].users.size();
+    }
+    pairs.reserve(count);
+    for (std::uint32_t i : owned_[s]) {
+      const QuantumAggregate::Entry& entry = aggregate.keywords[i];
+      FoldKeyword(shard, entry.keyword, entry.users, pairs);
+    }
   };
   if (parallel_for) {
     parallel_for(kIdSetShards, ingest_shard);
   } else {
     SerialFor(kIdSetShards, ingest_shard);
   }
+  if (full) {
+    head_ = RingPos(1);
+  } else {
+    ++depth_;
+  }
   MergeQuantumKeywords();
+}
+
+const FlatU32Map* UserIdSets::WindowTable(KeywordId keyword) const {
+  const Shard& shard = shards_[ShardOf(keyword)];
+  const std::uint32_t slot = shard.slots.Find(keyword);
+  return slot == KeywordSlots::kNone ? nullptr : &shard.keywords[slot].users;
 }
 
 std::size_t UserIdSets::QuantumSupport(KeywordId keyword) const {
   const Shard& shard = shards_[ShardOf(keyword)];
-  auto it = shard.last_quantum_support.find(keyword);
-  return it == shard.last_quantum_support.end() ? 0 : it->second;
+  const std::uint32_t slot = shard.slots.Find(keyword);
+  return slot == KeywordSlots::kNone ? 0 : shard.keywords[slot].last_support;
 }
 
 std::size_t UserIdSets::WindowSupport(KeywordId keyword) const {
-  const Shard& shard = shards_[ShardOf(keyword)];
-  auto it = shard.window.find(keyword);
-  return it == shard.window.end() ? 0 : it->second.size();
-}
-
-std::vector<UserId> UserIdSets::WindowUsers(KeywordId keyword) const {
-  std::vector<UserId> users;
-  const Shard& shard = shards_[ShardOf(keyword)];
-  auto it = shard.window.find(keyword);
-  if (it == shard.window.end()) return users;
-  users.reserve(it->second.size());
-  for (const auto& [user, _] : it->second) users.push_back(user);
-  return users;
+  const FlatU32Map* users = WindowTable(keyword);
+  return users == nullptr ? 0 : users->size();
 }
 
 double UserIdSets::Jaccard(KeywordId a, KeywordId b) const {
-  const Shard& shard_a = shards_[ShardOf(a)];
-  const Shard& shard_b = shards_[ShardOf(b)];
-  auto ita = shard_a.window.find(a);
-  auto itb = shard_b.window.find(b);
-  if (ita == shard_a.window.end() || itb == shard_b.window.end()) return 0.0;
-  const UserCounts* small = &ita->second;
-  const UserCounts* large = &itb->second;
+  const FlatU32Map* small = WindowTable(a);
+  const FlatU32Map* large = WindowTable(b);
+  if (small == nullptr || large == nullptr) return 0.0;
   if (small->size() > large->size()) std::swap(small, large);
-  std::size_t intersection = 0;
-  for (const auto& [user, _] : *small) {
-    if (large->count(user)) ++intersection;
-  }
+  const std::size_t intersection = small->CountShared(*large);
   const std::size_t unioned = small->size() + large->size() - intersection;
   return unioned == 0
              ? 0.0
@@ -158,15 +170,15 @@ void UserIdSets::VisitHistory(
         const std::vector<std::pair<KeywordId, UserId>>& pairs)>& visitor)
     const {
   for (std::size_t s = 0; s < kIdSetShards; ++s) {
-    for (std::size_t q = 0; q < shards_[s].history.size(); ++q) {
-      visitor(s, q, shards_[s].history[q]);
+    for (std::size_t q = 0; q < depth_; ++q) {
+      visitor(s, q, shards_[s].history[RingPos(q)]);
     }
   }
 }
 
 std::size_t UserIdSets::active_keywords() const {
   std::size_t total = 0;
-  for (const Shard& shard : shards_) total += shard.window.size();
+  for (const Shard& shard : shards_) total += shard.slots.size();
   return total;
 }
 
@@ -175,9 +187,9 @@ void UserIdSets::Save(BinaryWriter& out) const {
   out.U32(static_cast<std::uint32_t>(kIdSetShards));
   out.U64(window_length_);
   for (const Shard& shard : shards_) {
-    out.U32(static_cast<std::uint32_t>(shard.history.size()));
-    for (const auto& entry : shard.history) {
-      std::vector<std::pair<KeywordId, UserId>> sorted = entry;
+    out.U32(static_cast<std::uint32_t>(depth_));
+    for (std::size_t q = 0; q < depth_; ++q) {
+      Pairs sorted = shard.history[RingPos(q)];
       std::sort(sorted.begin(), sorted.end());
       out.U64(sorted.size());
       for (const auto& [keyword, user] : sorted) {
@@ -191,7 +203,11 @@ void UserIdSets::Save(BinaryWriter& out) const {
 bool UserIdSets::Restore(BinaryReader& in) {
   const auto reset = [this] {
     shards_.assign(kIdSetShards, Shard{});
+    for (Shard& shard : shards_) shard.history.resize(window_length_);
+    head_ = 0;
+    depth_ = 0;
     last_quantum_keywords_.clear();
+    pending_.clear();
     quantum_open_ = false;
   };
   reset();
@@ -200,6 +216,7 @@ bool UserIdSets::Restore(BinaryReader& in) {
     return false;
   }
   std::uint32_t depth0 = 0;
+  std::vector<UserId> users;
   for (std::size_t s = 0; s < kIdSetShards; ++s) {
     Shard& shard = shards_[s];
     const std::uint32_t depth = in.U32();
@@ -211,11 +228,11 @@ bool UserIdSets::Restore(BinaryReader& in) {
       break;
     }
     for (std::uint32_t q = 0; q < depth; ++q) {
-      const std::uint64_t pairs = in.U64();
-      if (!in.CheckLength(pairs, 8)) break;
-      std::vector<std::pair<KeywordId, UserId>> entry;
-      entry.reserve(pairs);
-      for (std::uint64_t i = 0; i < pairs; ++i) {
+      const std::uint64_t count = in.U64();
+      if (!in.CheckLength(count, 8)) break;
+      Pairs entry;
+      entry.reserve(count);
+      for (std::uint64_t i = 0; i < count; ++i) {
         const KeywordId keyword = in.U32();
         const UserId user = in.U32();
         // Canonical form: strictly ascending (so pairs are distinct) and
@@ -228,18 +245,22 @@ bool UserIdSets::Restore(BinaryReader& in) {
         entry.emplace_back(keyword, user);
       }
       if (!in.ok()) break;
-      const bool last = q + 1 == depth;
-      for (const auto& [keyword, user] : entry) {
-        ++shard.window[keyword][user];
-        if (last) {
-          if (shard.last_quantum_keywords.empty() ||
-              shard.last_quantum_keywords.back() != keyword) {
-            shard.last_quantum_keywords.push_back(keyword);
-          }
-          ++shard.last_quantum_support[keyword];
-        }
+      // Each quantum refolds as if ingested; only the newest one's
+      // last-quantum view survives.
+      for (std::uint32_t slot : shard.last_slots) {
+        shard.keywords[slot].last_support = 0;
       }
-      shard.history.push_back(std::move(entry));
+      shard.last_slots.clear();
+      shard.last_quantum_keywords.clear();
+      Pairs& pairs = shard.history[q];
+      for (std::size_t i = 0; i < entry.size();) {
+        const KeywordId keyword = entry[i].first;
+        users.clear();
+        for (; i < entry.size() && entry[i].first == keyword; ++i) {
+          users.push_back(entry[i].second);
+        }
+        FoldKeyword(shard, keyword, users, pairs);
+      }
     }
     if (!in.ok()) break;
   }
@@ -247,6 +268,7 @@ bool UserIdSets::Restore(BinaryReader& in) {
     reset();
     return false;
   }
+  depth_ = depth0;
   MergeQuantumKeywords();
   return true;
 }

@@ -13,17 +13,22 @@
 // outputs are canonical (QuantumKeywords ascending, everything else
 // content-addressed), so results do not depend on the shard count or on
 // which thread folded which shard.
+//
+// Layout (flat, slot-indexed): each shard maps its keywords to dense slots
+// (KeywordSlots, recycled when a keyword leaves the window); a slot holds
+// the keyword's window users in an open-addressing user -> multiplicity
+// table and its last-quantum support. The history is a fixed ring of w
+// per-quantum pair buffers that are reused, not reallocated. Slot growth
+// is shard-private, so the shard-parallel fold writes disjoint state.
 
 #ifndef SCPRT_AKG_ID_SETS_H_
 #define SCPRT_AKG_ID_SETS_H_
 
-#include <deque>
 #include <functional>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
+#include "akg/flat_map.h"
 #include "akg/quantum_aggregate.h"
 #include "common/binary_io.h"
 #include "common/parallel.h"
@@ -73,8 +78,14 @@ class UserIdSets {
   /// w_i of the rank function).
   std::size_t WindowSupport(KeywordId keyword) const;
 
-  /// Distinct users of `keyword` across the window (unordered snapshot).
-  std::vector<UserId> WindowUsers(KeywordId keyword) const;
+  /// Calls visit(user) once for every distinct user of `keyword` across
+  /// the window, in unspecified order. Allocates nothing.
+  template <typename Visitor>
+  void VisitWindowUsers(KeywordId keyword, Visitor&& visit) const {
+    if (const FlatU32Map* users = WindowTable(keyword)) {
+      users->ForEach([&](UserId user, std::uint32_t) { visit(user); });
+    }
+  }
 
   /// Exact Jaccard coefficient of the two keywords' window id sets
   /// (|U1 n U2| / |U1 u U2|). 0 when either set is empty.
@@ -85,13 +96,12 @@ class UserIdSets {
 
   /// Closed quanta currently retained (<= window length). Every quantum
   /// pushes one history entry into every shard, so the depth is uniform.
-  std::size_t HistoryDepth() const { return shards_[0].history.size(); }
+  std::size_t HistoryDepth() const { return depth_; }
 
   /// Visits every shard's retained history slot, oldest slot first:
   /// visitor(shard, slot, pairs) where `pairs` is that quantum's distinct
-  /// (keyword, user) occurrences owned by the shard. Pair order within a
-  /// slot is unspecified (sorted after Restore, ingest order live) — the
-  /// sketch-window rebuild sorts its own copy.
+  /// (keyword, user) occurrences owned by the shard, grouped by keyword
+  /// (sorted whenever the ingested aggregates were canonical).
   void VisitHistory(
       const std::function<void(
           std::size_t shard, std::size_t slot,
@@ -109,19 +119,28 @@ class UserIdSets {
   bool Restore(BinaryReader& in);
 
  private:
-  using UserCounts = std::unordered_map<UserId, std::uint32_t>;
+  using Pairs = std::vector<std::pair<KeywordId, UserId>>;
+
+  /// One keyword's window state, at its slot.
+  struct KeywordState {
+    // user -> multiplicity across the retained quanta.
+    FlatU32Map users;
+    // Distinct users in the most recent closed quantum (0 if absent).
+    std::uint32_t last_support = 0;
+  };
 
   /// One keyword partition; a quantum touches every shard independently.
   struct Shard {
-    // Open quantum: keyword -> distinct users.
-    std::unordered_map<KeywordId, std::unordered_set<UserId>> current;
-    // Closed quanta, oldest first, in compact form for expiry.
-    std::deque<std::vector<std::pair<KeywordId, UserId>>> history;
-    // Window aggregate: keyword -> (user -> multiplicity across quanta).
-    std::unordered_map<KeywordId, UserCounts> window;
-    // Most recent closed quantum's per-keyword distinct-user counts.
-    std::unordered_map<KeywordId, std::uint32_t> last_quantum_support;
-    // Keywords of the most recent closed quantum, ascending.
+    KeywordSlots slots;
+    // Indexed by slot.
+    std::vector<KeywordState> keywords;
+    // Ring of window_length per-quantum buffers of the quantum's distinct
+    // (keyword, user) pairs, grouped by keyword; position head_ is the
+    // oldest retained quantum.
+    std::vector<Pairs> history;
+    // Slots and ids of the most recent closed quantum's keywords, the ids
+    // ascending.
+    std::vector<std::uint32_t> last_slots;
     std::vector<KeywordId> last_quantum_keywords;
   };
 
@@ -129,28 +148,39 @@ class UserIdSets {
     return keyword % kIdSetShards;
   }
 
-  /// Folds one keyword's quantum users into `shard`: support count,
-  /// keyword list, window multiplicities and the compact history entry.
-  /// The single definition of the fold invariant — both ingest paths
-  /// (EndQuantum and IngestAggregate) go through it.
-  template <typename Users>
+  /// The keyword's window user table, or null when it is not in the window.
+  const FlatU32Map* WindowTable(KeywordId keyword) const;
+
+  /// Ring position of the i-th oldest retained quantum.
+  std::size_t RingPos(std::size_t i) const {
+    return (head_ + i) % window_length_;
+  }
+
+  /// Folds one keyword's quantum users (distinct) into `shard`: support,
+  /// keyword list, window multiplicities and the history buffer `pairs`.
+  /// The single definition of the fold invariant — both the live fold and
+  /// Restore go through it.
   static void FoldKeyword(Shard& shard, KeywordId keyword,
-                          const Users& users,
-                          std::vector<std::pair<KeywordId, UserId>>& compact);
+                          const std::vector<UserId>& users, Pairs& pairs);
 
-  /// Folds the shard's open quantum into its window and expires the
-  /// quantum leaving the window. Touches only `shard`.
-  void FoldShard(Shard& shard);
-
-  /// Drops the shard's quantum that just left the window, if any.
-  void ExpireShard(Shard& shard);
+  /// Takes one history buffer's pairs back out of the window aggregate and
+  /// releases the slots of keywords left with no users.
+  static void ExpirePairs(Shard& shard, const Pairs& pairs);
 
   /// Rebuilds the merged QuantumKeywords vector from the shards.
   void MergeQuantumKeywords();
 
   std::size_t window_length_;
   bool quantum_open_ = false;
-  std::vector<Shard> shards_{kIdSetShards};
+  // The open quantum's (keyword, user) occurrences (Begin/Add/End path).
+  Pairs pending_;
+  std::vector<Shard> shards_;
+  // History ring cursor, uniform across shards: every quantum pushes one
+  // buffer into every shard.
+  std::size_t head_ = 0;
+  std::size_t depth_ = 0;
+  // IngestAggregate's routing buffer: per shard, its aggregate entries.
+  std::vector<std::vector<std::uint32_t>> owned_;
   // Merged view of the shards' last-quantum keywords, ascending.
   std::vector<KeywordId> last_quantum_keywords_;
 };

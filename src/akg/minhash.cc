@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/check.h"
-#include "common/parallel.h"
 
 namespace scprt::akg {
 
@@ -37,11 +36,6 @@ void PushBottomP(WeightedSketch& sketch, const SketchEntry& entry,
 }
 
 }  // namespace
-
-bool SketchOrderLess(const SketchEntry& a, const SketchEntry& b) {
-  if (a.score != b.score) return a.score < b.score;
-  return a.key < b.key;
-}
 
 MinHasher::MinHasher(std::size_t p, std::uint64_t seed) : p_(p), hash_(seed) {
   SCPRT_CHECK(p >= 1);
@@ -122,8 +116,16 @@ WeightedMinHasher::WeightedMinHasher(std::size_t p, std::uint64_t seed,
 WeightedSketch WeightedMinHasher::QuantumSketch(
     QuantumIndex quantum, const std::vector<UserId>& users,
     const std::vector<std::uint32_t>& counts) const {
-  SCPRT_DCHECK(!weighted_ || counts.size() == users.size());
   WeightedSketch sketch;
+  QuantumSketchInto(quantum, users, counts, sketch);
+  return sketch;
+}
+
+void WeightedMinHasher::QuantumSketchInto(
+    QuantumIndex quantum, const std::vector<UserId>& users,
+    const std::vector<std::uint32_t>& counts, WeightedSketch& sketch) const {
+  SCPRT_DCHECK(!weighted_ || counts.size() == users.size());
+  sketch.clear();
   sketch.reserve(std::min(p_, users.size()));
   for (std::size_t i = 0; i < users.size(); ++i) {
     SketchEntry entry;
@@ -144,13 +146,20 @@ WeightedSketch WeightedMinHasher::QuantumSketch(
     PushBottomP(sketch, entry, p_);
   }
   std::sort(sketch.begin(), sketch.end(), SketchOrderLess);
-  return sketch;
 }
 
 WeightedSketch WeightedMinHasher::Combine(const WeightedSketch& a,
                                           const WeightedSketch& b,
                                           std::size_t p) {
   WeightedSketch out;
+  CombineInto(a, b, p, out);
+  return out;
+}
+
+void WeightedMinHasher::CombineInto(std::span<const SketchEntry> a,
+                                    std::span<const SketchEntry> b,
+                                    std::size_t p, WeightedSketch& out) {
+  out.clear();
   out.reserve(std::min(p, a.size() + b.size()));
   std::size_t i = 0, j = 0;
   while (out.size() < p && (i < a.size() || j < b.size())) {
@@ -171,15 +180,14 @@ WeightedSketch WeightedMinHasher::Combine(const WeightedSketch& a,
     }
     if (!seen) out.push_back(*next);
   }
-  return out;
 }
 
-WeightedSketch WeightedMinHasher::CombineTree(std::vector<WeightedSketch> parts,
-                                              std::size_t p) {
-  return TreeReduce(
-      std::move(parts),
-      [p](WeightedSketch a, WeightedSketch b) { return Combine(a, b, p); },
-      nullptr);
+WeightedSketch WeightedMinHasher::CombineTree(
+    const std::vector<WeightedSketch>& parts, std::size_t p) {
+  WeightedSketch acc;
+  WeightedSketch scratch;
+  for (const WeightedSketch& part : parts) FoldInto(acc, part, p, scratch);
+  return acc;
 }
 
 MinHashSignature WeightedMinHasher::Values(const WeightedSketch& sketch) {

@@ -20,8 +20,8 @@
 //
 // Combine is exact under truncation (a merged sketch equals the sketch of
 // the merged input, by the usual KMV argument), hence associative and
-// commutative — which is what lets per-shard, per-quantum sketches reduce
-// through a tree (common/parallel.h TreeReduce) in any grouping with
+// commutative — so per-shard, per-quantum sketches reduce in any grouping
+// (a left fold in place, or a common/parallel.h TreeReduce) with
 // bit-identical results. The only precondition is that one (user, quantum)
 // occurrence is never split across the parts being merged; keyword-sharded
 // aggregation satisfies it by construction.
@@ -30,6 +30,7 @@
 #define SCPRT_AKG_MINHASH_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/hash.h"
@@ -54,7 +55,10 @@ using WeightedSketch = std::vector<SketchEntry>;
 
 /// The sketch order: ascending (score, key). The key tie-break makes the
 /// order total, so sketches with equal content are bit-identical.
-bool SketchOrderLess(const SketchEntry& a, const SketchEntry& b);
+inline bool SketchOrderLess(const SketchEntry& a, const SketchEntry& b) {
+  if (a.score != b.score) return a.score < b.score;
+  return a.key < b.key;
+}
 
 /// A keyword's cached signature state: the plain sorted values used for
 /// screening and bucket joins, plus the sketch they were extracted from
@@ -112,17 +116,44 @@ class WeightedMinHasher {
                                const std::vector<UserId>& users,
                                const std::vector<std::uint32_t>& counts) const;
 
+  /// QuantumSketch into `out` (its buffer is reused).
+  void QuantumSketchInto(QuantumIndex quantum,
+                         const std::vector<UserId>& users,
+                         const std::vector<std::uint32_t>& counts,
+                         WeightedSketch& out) const;
+
   /// Merges two sketches: minimum score per key, bottom-p overall. Exact
   /// (equals the sketch of the merged inputs), associative and commutative;
   /// the identity is the empty sketch.
   static WeightedSketch Combine(const WeightedSketch& a,
                                 const WeightedSketch& b, std::size_t p);
 
-  /// Reduces `parts` with Combine in the fixed pairwise-tree shape
-  /// (TreeReduce, serial). Any grouping gives the same result; the fixed
-  /// shape makes that property cheap to audit.
-  static WeightedSketch CombineTree(std::vector<WeightedSketch> parts,
+  /// Combine into `out` (its buffer is reused); `out` must alias neither
+  /// input. Inputs are spans, so sketches kept in pooled storage merge
+  /// without a copy.
+  static void CombineInto(std::span<const SketchEntry> a,
+                          std::span<const SketchEntry> b, std::size_t p,
+                          WeightedSketch& out);
+
+  /// Reduces `parts` with Combine. Any grouping gives the same result, so
+  /// this is a left fold through two buffers that are reused in place.
+  static WeightedSketch CombineTree(const std::vector<WeightedSketch>& parts,
                                     std::size_t p);
+
+  /// Folds `part` into `acc` in place: acc = Combine(acc, part). `scratch`
+  /// is a buffer the fold may swap with `acc`.
+  static void FoldInto(WeightedSketch& acc,
+                       std::span<const SketchEntry> part, std::size_t p,
+                       WeightedSketch& scratch) {
+    // A full accumulator whose last entry precedes the part's first (and
+    // so all of them) comes out of the merge unchanged: skip it.
+    if (part.empty() ||
+        (acc.size() >= p && !SketchOrderLess(part.front(), acc.back()))) {
+      return;
+    }
+    CombineInto(acc, part, p, scratch);
+    acc.swap(scratch);
+  }
 
   /// The sketch's keys, sorted ascending — the screening signature. In
   /// unweighted mode, bit-identical to MinHasher::Signature of the same id

@@ -9,8 +9,60 @@ namespace scprt::akg {
 
 SketchWindow::SketchWindow(std::size_t window_length, std::size_t p,
                            std::uint64_t seed, bool weighted)
-    : window_length_(window_length), hasher_(p, seed, weighted) {
+    : window_length_(window_length),
+      hasher_(p, seed, weighted),
+      shards_(kShards),
+      owned_(kShards) {
   SCPRT_CHECK(window_length >= 1);
+  Reset(0);
+}
+
+void SketchWindow::Slot::Append(KeywordId keyword,
+                                std::span<const SketchEntry> sketch) {
+  entries.push_back(Entry{keyword, Ref{},
+                          static_cast<std::uint32_t>(pool.size()),
+                          static_cast<std::uint32_t>(sketch.size())});
+  pool.insert(pool.end(), sketch.begin(), sketch.end());
+}
+
+void SketchWindow::Reset(std::size_t depth) {
+  for (Shard& shard : shards_) {
+    shard.ring.assign(window_length_, Slot{});
+    shard.slots.Clear();
+    shard.chains.clear();
+  }
+  head_ = 0;
+  depth_ = depth;
+}
+
+void SketchWindow::LinkSlot(Shard& shard, std::uint32_t pos) {
+  std::vector<Entry>& entries = shard.ring[pos].entries;
+  for (std::uint32_t i = 0; i < entries.size(); ++i) {
+    const Ref ref{pos, i};
+    bool opened;
+    const std::uint32_t slot = shard.slots.Acquire(entries[i].keyword, &opened);
+    if (slot >= shard.chains.size()) shard.chains.resize(slot + 1);
+    Chain& chain = shard.chains[slot];
+    if (opened) {
+      chain.head = ref;
+    } else {
+      shard.ring[chain.tail.pos].entries[chain.tail.index].next = ref;
+    }
+    chain.tail = ref;
+  }
+}
+
+void SketchWindow::ExpireSlot(Shard& shard, std::uint32_t pos) {
+  for (const Entry& entry : shard.ring[pos].entries) {
+    const std::uint32_t slot = shard.slots.Find(entry.keyword);
+    SCPRT_DCHECK(slot != KeywordSlots::kNone);
+    SCPRT_DCHECK(shard.chains[slot].head.pos == pos);
+    if (entry.next.pos == kNoPos) {
+      shard.slots.Release(entry.keyword);
+    } else {
+      shard.chains[slot].head = entry.next;
+    }
+  }
 }
 
 void SketchWindow::Ingest(const QuantumAggregate& aggregate,
@@ -18,58 +70,83 @@ void SketchWindow::Ingest(const QuantumAggregate& aggregate,
   // One routing pass up front, mirroring UserIdSets::IngestAggregate; the
   // aggregate is keyword-ascending, so each shard's owned indices — and
   // with them its slot — stay keyword-ascending too.
-  std::vector<std::vector<std::uint32_t>> owned(kShards);
+  for (auto& owned : owned_) owned.clear();
   for (std::uint32_t i = 0; i < aggregate.keywords.size(); ++i) {
-    owned[ShardOf(aggregate.keywords[i].keyword)].push_back(i);
+    owned_[ShardOf(aggregate.keywords[i].keyword)].push_back(i);
   }
+  // A full window hands its oldest position, expired first, to the new
+  // quantum; the buffers there are reused.
+  const bool full = depth_ == window_length_;
+  const auto pos = static_cast<std::uint32_t>(RingPos(full ? 0 : depth_));
   const auto sketch_shard = [&](std::size_t s) {
     Shard& shard = shards_[s];
-    Slot slot;
-    slot.reserve(owned[s].size());
-    for (std::uint32_t i : owned[s]) {
-      const QuantumAggregate::Entry& entry = aggregate.keywords[i];
-      slot.emplace_back(entry.keyword,
-                        hasher_.QuantumSketch(aggregate.index, entry.users,
-                                              entry.counts));
+    if (full) ExpireSlot(shard, pos);
+    Slot& slot = shard.ring[pos];
+    slot.Clear();
+    // Exact reservations: a reused position grows only to its largest
+    // quantum, without doubling slack.
+    std::size_t pooled = 0;
+    for (std::uint32_t i : owned_[s]) {
+      pooled += std::min(hasher_.p(), aggregate.keywords[i].users.size());
     }
-    shard.ring.push_back(std::move(slot));
-    if (shard.ring.size() > window_length_) shard.ring.pop_front();
+    slot.entries.reserve(owned_[s].size());
+    slot.pool.reserve(pooled);
+    WeightedSketch sketch;
+    for (std::uint32_t i : owned_[s]) {
+      const QuantumAggregate::Entry& entry = aggregate.keywords[i];
+      hasher_.QuantumSketchInto(aggregate.index, entry.users, entry.counts,
+                                sketch);
+      slot.Append(entry.keyword, sketch);
+    }
+    LinkSlot(shard, pos);
   };
   if (parallel_for) {
     parallel_for(kShards, sketch_shard);
   } else {
     SerialFor(kShards, sketch_shard);
   }
+  if (full) {
+    head_ = RingPos(1);
+  } else {
+    ++depth_;
+  }
 }
 
 WeightedSketch SketchWindow::WindowSketch(KeywordId keyword) const {
   const Shard& shard = shards_[ShardOf(keyword)];
-  std::vector<WeightedSketch> parts;
-  parts.reserve(shard.ring.size());
-  for (const Slot& slot : shard.ring) {
-    const auto it = std::lower_bound(
-        slot.begin(), slot.end(), keyword,
-        [](const auto& entry, KeywordId k) { return entry.first < k; });
-    if (it != slot.end() && it->first == keyword) parts.push_back(it->second);
+  const std::uint32_t slot = shard.slots.Find(keyword);
+  if (slot == KeywordSlots::kNone) return {};
+  Ref ref = shard.chains[slot].head;
+  const Slot* ring_slot = &shard.ring[ref.pos];
+  const Entry* entry = &ring_slot->entries[ref.index];
+  const std::span<const SketchEntry> oldest = ring_slot->Sketch(*entry);
+  WeightedSketch acc(oldest.begin(), oldest.end());
+  // Per-thread merge buffer: refreshes run through the parallel hook.
+  thread_local WeightedSketch scratch;
+  while (entry->next.pos != kNoPos) {
+    ref = entry->next;
+    ring_slot = &shard.ring[ref.pos];
+    entry = &ring_slot->entries[ref.index];
+    WeightedMinHasher::FoldInto(acc, ring_slot->Sketch(*entry), hasher_.p(),
+                                scratch);
   }
-  return WeightedMinHasher::CombineTree(std::move(parts), hasher_.p());
+  return acc;
 }
 
-void SketchWindow::Clear() { shards_.assign(kShards, Shard{}); }
+void SketchWindow::Clear() { Reset(0); }
 
 void SketchWindow::RebuildFromHistory(const UserIdSets& sets) {
   SCPRT_CHECK(!hasher_.weighted());
-  Clear();
-  const std::size_t depth = sets.HistoryDepth();
-  for (Shard& shard : shards_) shard.ring.resize(depth);
-  sets.VisitHistory([&](std::size_t s, std::size_t slot_index,
+  Reset(sets.HistoryDepth());
+  // Visits run shard by shard, oldest quantum first — link order.
+  sets.VisitHistory([&](std::size_t s, std::size_t q,
                         const std::vector<std::pair<KeywordId, UserId>>&
                             pairs) {
-    // Sort a copy so keyword runs are contiguous (history order is only
-    // canonical after a restore; don't depend on it).
+    // Sort a copy so keyword runs are ascending whatever the ingested
+    // aggregates looked like.
     std::vector<std::pair<KeywordId, UserId>> sorted = pairs;
     std::sort(sorted.begin(), sorted.end());
-    Slot& slot = shards_[s].ring[slot_index];
+    Slot& slot = shards_[s].ring[q];
     std::vector<UserId> users;
     for (std::size_t i = 0; i < sorted.size();) {
       const KeywordId keyword = sorted[i].first;
@@ -79,8 +156,9 @@ void SketchWindow::RebuildFromHistory(const UserIdSets& sets) {
         ++i;
       }
       // Quantum index 0 is fine: unweighted scores are key-only.
-      slot.emplace_back(keyword, hasher_.QuantumSketch(0, users, {}));
+      slot.Append(keyword, hasher_.QuantumSketch(0, users, {}));
     }
+    LinkSlot(shards_[s], static_cast<std::uint32_t>(q));
   });
 }
 
@@ -89,12 +167,13 @@ void SketchWindow::Save(BinaryWriter& out) const {
   out.U64(window_length_);
   out.U32(static_cast<std::uint32_t>(depth()));
   for (const Shard& shard : shards_) {
-    for (const Slot& slot : shard.ring) {
-      out.U64(slot.size());
-      for (const auto& [keyword, sketch] : slot) {
-        out.U32(keyword);
-        out.U32(static_cast<std::uint32_t>(sketch.size()));
-        for (const SketchEntry& entry : sketch) {
+    for (std::size_t q = 0; q < depth_; ++q) {
+      const Slot& slot = shard.ring[RingPos(q)];
+      out.U64(slot.entries.size());
+      for (const Entry& e : slot.entries) {
+        out.U32(e.keyword);
+        out.U32(e.size);
+        for (const SketchEntry& entry : slot.Sketch(e)) {
           out.U64(entry.key);
           out.F64(entry.score);
         }
@@ -115,7 +194,9 @@ bool SketchWindow::Restore(BinaryReader& in) {
     in.Fail();
     return false;
   }
+  Reset(depth);
   bool valid = true;
+  WeightedSketch sketch;
   for (std::size_t s = 0; valid && s < kShards; ++s) {
     Shard& shard = shards_[s];
     for (std::uint32_t q = 0; valid && q < depth; ++q) {
@@ -124,8 +205,8 @@ bool SketchWindow::Restore(BinaryReader& in) {
         valid = false;
         break;
       }
-      Slot slot;
-      slot.reserve(entries);
+      Slot& slot = shard.ring[q];
+      slot.entries.reserve(entries);
       for (std::uint64_t e = 0; valid && e < entries; ++e) {
         const KeywordId keyword = in.U32();
         const std::uint32_t size = in.U32();
@@ -133,13 +214,12 @@ bool SketchWindow::Restore(BinaryReader& in) {
         // sketch of at most p entries in strict sketch order with distinct
         // keys and finite non-negative scores.
         if (ShardOf(keyword) != s ||
-            (!slot.empty() && slot.back().first >= keyword) || size > p ||
-            !in.CheckLength(size, 8 + 8)) {
+            (!slot.entries.empty() && slot.entries.back().keyword >= keyword) ||
+            size > p || !in.CheckLength(size, 8 + 8)) {
           valid = false;
           break;
         }
-        WeightedSketch sketch;
-        sketch.reserve(size);
+        sketch.clear();
         for (std::uint32_t k = 0; k < size; ++k) {
           SketchEntry entry;
           entry.key = in.U64();
@@ -163,10 +243,10 @@ bool SketchWindow::Restore(BinaryReader& in) {
           valid = false;
           break;
         }
-        slot.emplace_back(keyword, std::move(sketch));
+        slot.Append(keyword, sketch);
       }
       if (!valid) break;
-      shard.ring.push_back(std::move(slot));
+      LinkSlot(shard, q);
     }
   }
   if (!valid || !in.ok()) {

@@ -123,12 +123,16 @@ EventSnapshot EventDetector::SnapshotCore(ClusterId id,
   snap.avg_ec = cluster.edge_count() == 0
                     ? 0.0
                     : ec_sum / static_cast<double>(cluster.edge_count());
-  // Support: distinct users over the window across member keywords.
-  std::unordered_set<UserId> users;
+  // Support: distinct users over the window across member keywords. The
+  // buffer is per thread (cores run through the parallel hook) and reused.
+  thread_local std::vector<UserId> users;
+  users.clear();
   for (KeywordId k : snap.keywords) {
-    for (UserId u : akg_.id_sets().WindowUsers(k)) users.insert(u);
+    akg_.id_sets().VisitWindowUsers(k, [](UserId u) { users.push_back(u); });
   }
-  snap.support = users.size();
+  std::sort(users.begin(), users.end());
+  snap.support = static_cast<std::size_t>(
+      std::unique(users.begin(), users.end()) - users.begin());
   return snap;
 }
 

@@ -70,9 +70,11 @@ const ProcessClockAnchor& ClockAnchor() {
 double ProcessStartUnixSeconds() { return ClockAnchor().start_unix; }
 
 double ProcessUptimeSeconds() {
-  return static_cast<double>(MonotonicNanos() -
-                             ClockAnchor().start_mono_ns) /
-         1e9;
+  // Bind the anchor before reading the clock: the operands of one
+  // subtraction are unsequenced, and a clock read that precedes the
+  // anchor's lazy construction makes the first uptime negative.
+  const ProcessClockAnchor& anchor = ClockAnchor();
+  return static_cast<double>(MonotonicNanos() - anchor.start_mono_ns) / 1e9;
 }
 
 bool Enabled() { return EnabledFlag().load(std::memory_order_relaxed); }

@@ -1,20 +1,85 @@
 // Tests for akg/: id sets, node-state automaton, Min-Hash, AKG builder.
 
+#include <deque>
+#include <limits>
+#include <map>
+#include <memory>
+#include <set>
+#include <string>
 #include <unordered_set>
 
 #include <gtest/gtest.h>
 
 #include "akg/akg_builder.h"
 #include "akg/correlation.h"
+#include "akg/flat_map.h"
 #include "akg/id_sets.h"
 #include "akg/minhash.h"
 #include "akg/node_state.h"
+#include "akg/sketch_window.h"
+#include "common/hash.h"
+#include "common/parallel.h"
 #include "common/random.h"
+#include "engine/shard_pool.h"
 
 namespace scprt::akg {
 namespace {
 
 using graph::Edge;
+
+// --- Flat containers ---
+
+// Random increments and decrements against std::map, through growth past
+// the linear-scan threshold, index rehashes and shrinks back down; keys
+// span the whole u32 range so probe runs wrap around the table end.
+TEST(FlatU32MapTest, MatchesStdMapUnderChurn) {
+  Rng rng(5);
+  FlatU32Map map;
+  std::map<std::uint32_t, std::uint32_t> reference;
+  std::vector<std::uint32_t> keys;
+  for (int i = 0; i < 300; ++i) {
+    keys.push_back(static_cast<std::uint32_t>(rng.Next()));
+  }
+  keys.push_back(0);
+  keys.push_back(std::numeric_limits<std::uint32_t>::max());
+  for (int step = 0; step < 20000; ++step) {
+    // Phases of growth and of decay move the size across every threshold.
+    const bool grow = (step / 2500) % 2 == 0;
+    const std::uint32_t key = keys[rng.UniformInt(keys.size())];
+    if (grow ? rng.Bernoulli(0.8) : !reference.count(key)) {
+      map.Increment(key);
+      ++reference[key];
+    } else if (reference.count(key)) {
+      map.Decrement(key);
+      if (--reference[key] == 0) reference.erase(key);
+    }
+    ASSERT_EQ(map.size(), reference.size()) << "step " << step;
+    if (step % 97 == 0) {
+      std::map<std::uint32_t, std::uint32_t> seen;
+      map.ForEach([&](std::uint32_t k, std::uint32_t c) { seen[k] = c; });
+      ASSERT_EQ(seen, reference) << "step " << step;
+      for (std::uint32_t k : keys) {
+        ASSERT_EQ(map.Contains(k), reference.count(k) > 0);
+      }
+    }
+  }
+}
+
+TEST(KeywordSlotsTest, RecyclesSlotsAcrossSparseIds) {
+  KeywordSlots slots;
+  bool opened;
+  const KeywordId far = 0xFFFF'FFFEu;
+  EXPECT_EQ(slots.Acquire(far, &opened), 0u);
+  EXPECT_TRUE(opened);
+  EXPECT_EQ(slots.Acquire(7, &opened), 1u);
+  EXPECT_EQ(slots.Acquire(far, &opened), 0u);
+  EXPECT_FALSE(opened);
+  slots.Release(far);
+  EXPECT_EQ(slots.Find(far), KeywordSlots::kNone);
+  // The freed slot is reused before a new one opens.
+  EXPECT_EQ(slots.Acquire(1u << 31, &opened), 0u);
+  EXPECT_EQ(slots.size(), 2u);
+}
 
 // --- UserIdSets ---
 
@@ -44,8 +109,8 @@ TEST(UserIdSetsTest, WindowAggregatesAcrossQuanta) {
   sets.Add(1, 200);
   sets.EndQuantum();
   EXPECT_EQ(sets.WindowSupport(1), 3u);  // {101, 102, 200}
-  auto users = sets.WindowUsers(1);
-  std::unordered_set<UserId> user_set(users.begin(), users.end());
+  std::unordered_set<UserId> user_set;
+  sets.VisitWindowUsers(1, [&](UserId u) { user_set.insert(u); });
   EXPECT_FALSE(user_set.count(100));
   EXPECT_TRUE(user_set.count(200));
 }
@@ -427,6 +492,547 @@ TEST(AkgBuilderTest, StatsReflectSizes) {
   EXPECT_EQ(stats.akg_nodes, 2u);
   EXPECT_EQ(stats.akg_edges, 1u);
   EXPECT_GE(stats.ckg_nodes, 4u);
+}
+
+// --- Differential check of the flat window state against a map model ---
+//
+// The reference model below keeps the textbook layout: per-keyword
+// user -> count maps over a deque of per-quantum pair lists, stamp maps
+// pruned by a full sweep every quantum, and per-quantum sketch maps reduced
+// by a pairwise tree. Driven alongside UserIdSets, NodeStateAutomaton and
+// SketchWindow over seeded random streams, every query must agree every
+// quantum and every encoding must match the model's byte for byte.
+
+constexpr std::size_t kRefShards = UserIdSets::kIdSetShards;
+
+class RefIdSets {
+ public:
+  explicit RefIdSets(std::size_t w) : w_(w) {}
+
+  void Ingest(const QuantumAggregate& aggregate) {
+    support_.clear();
+    keywords_.clear();
+    std::vector<std::pair<KeywordId, UserId>> pairs;
+    for (const auto& entry : aggregate.keywords) {
+      support_[entry.keyword] = entry.users.size();
+      keywords_.push_back(entry.keyword);
+      for (UserId user : entry.users) {
+        ++window_[entry.keyword][user];
+        pairs.emplace_back(entry.keyword, user);
+      }
+    }
+    history_.push_back(std::move(pairs));
+    if (history_.size() > w_) {
+      for (const auto& [keyword, user] : history_.front()) {
+        auto& users = window_.at(keyword);
+        if (--users.at(user) == 0) users.erase(user);
+        if (users.empty()) window_.erase(keyword);
+      }
+      history_.pop_front();
+    }
+  }
+
+  const std::vector<KeywordId>& QuantumKeywords() const { return keywords_; }
+
+  std::size_t QuantumSupport(KeywordId k) const {
+    const auto it = support_.find(k);
+    return it == support_.end() ? 0 : it->second;
+  }
+
+  std::size_t WindowSupport(KeywordId k) const {
+    const auto it = window_.find(k);
+    return it == window_.end() ? 0 : it->second.size();
+  }
+
+  double Jaccard(KeywordId a, KeywordId b) const {
+    const auto ia = window_.find(a);
+    const auto ib = window_.find(b);
+    if (ia == window_.end() || ib == window_.end()) return 0.0;
+    std::size_t shared = 0;
+    for (const auto& [user, _] : ia->second) shared += ib->second.count(user);
+    const std::size_t unioned =
+        ia->second.size() + ib->second.size() - shared;
+    return static_cast<double>(shared) / static_cast<double>(unioned);
+  }
+
+  std::size_t active_keywords() const { return window_.size(); }
+
+  // The id-set encoding (docs/formats.md): per shard, every retained
+  // quantum's pairs sorted.
+  std::string Encode() const {
+    BinaryWriter out;
+    out.U32(static_cast<std::uint32_t>(kRefShards));
+    out.U64(w_);
+    for (std::size_t s = 0; s < kRefShards; ++s) {
+      out.U32(static_cast<std::uint32_t>(history_.size()));
+      for (const auto& pairs : history_) {
+        std::vector<std::pair<KeywordId, UserId>> owned;
+        for (const auto& pair : pairs) {
+          if (pair.first % kRefShards == s) owned.push_back(pair);
+        }
+        std::sort(owned.begin(), owned.end());
+        out.U64(owned.size());
+        for (const auto& [keyword, user] : owned) {
+          out.U32(keyword);
+          out.U32(user);
+        }
+      }
+    }
+    return out.data();
+  }
+
+ private:
+  std::size_t w_;
+  std::deque<std::vector<std::pair<KeywordId, UserId>>> history_;
+  std::map<KeywordId, std::map<UserId, std::uint32_t>> window_;
+  std::map<KeywordId, std::size_t> support_;
+  std::vector<KeywordId> keywords_;
+};
+
+class RefNodeState {
+ public:
+  RefNodeState(std::uint32_t theta, std::size_t w) : theta_(theta), w_(w) {}
+
+  NodeStateUpdate ProcessQuantum(
+      QuantumIndex now,
+      const std::vector<std::pair<KeywordId, std::uint32_t>>& keywords,
+      const std::function<bool(KeywordId)>& in_cluster) {
+    NodeStateUpdate update;
+    for (const auto& [keyword, users] : keywords) {
+      last_seen_[keyword] = now;
+      if (users >= theta_) {
+        last_bursty_[keyword] = now;
+        update.bursty.push_back(keyword);
+        if (akg_.insert(keyword).second) update.entered.push_back(keyword);
+      } else if (akg_.count(keyword)) {
+        update.seen_in_akg.push_back(keyword);
+      }
+    }
+    const QuantumIndex horizon = now - static_cast<QuantumIndex>(w_);
+    for (auto it = akg_.begin(); it != akg_.end();) {
+      const KeywordId keyword = *it;
+      const bool stale = last_seen_.at(keyword) <= horizon;
+      const auto bursty = last_bursty_.find(keyword);
+      const bool faded =
+          !stale &&
+          !(bursty != last_bursty_.end() && bursty->second > horizon) &&
+          !in_cluster(keyword);
+      if (stale || faded) {
+        last_bursty_.erase(keyword);
+        update.removed.push_back(keyword);
+        it = akg_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+    // The full sweep the expiry wheel replaces.
+    for (auto it = last_seen_.begin(); it != last_seen_.end();) {
+      if (it->second <= horizon && !akg_.count(it->first)) {
+        last_bursty_.erase(it->first);
+        it = last_seen_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+    std::sort(update.entered.begin(), update.entered.end());
+    std::sort(update.bursty.begin(), update.bursty.end());
+    std::sort(update.seen_in_akg.begin(), update.seen_in_akg.end());
+    return update;  // `removed` is already ascending (set order)
+  }
+
+  std::size_t tracked_keywords() const { return last_seen_.size(); }
+  std::size_t akg_size() const { return akg_.size(); }
+
+  std::string Encode() const {
+    BinaryWriter out;
+    for (const auto* stamps : {&last_seen_, &last_bursty_}) {
+      out.U64(stamps->size());
+      for (const auto& [keyword, stamp] : *stamps) {
+        out.U32(keyword);
+        out.I64(stamp);
+      }
+    }
+    out.U64(akg_.size());
+    for (KeywordId keyword : akg_) out.U32(keyword);
+    return out.data();
+  }
+
+ private:
+  std::uint32_t theta_;
+  std::size_t w_;
+  std::map<KeywordId, QuantumIndex> last_seen_;
+  std::map<KeywordId, QuantumIndex> last_bursty_;
+  std::set<KeywordId> akg_;
+};
+
+class RefSketchWindow {
+ public:
+  RefSketchWindow(std::size_t w, const WeightedMinHasher& hasher)
+      : w_(w), hasher_(hasher) {}
+
+  void Ingest(const QuantumAggregate& aggregate) {
+    std::map<KeywordId, WeightedSketch> slot;
+    for (const auto& entry : aggregate.keywords) {
+      slot[entry.keyword] =
+          hasher_.QuantumSketch(aggregate.index, entry.users, entry.counts);
+    }
+    ring_.push_back(std::move(slot));
+    if (ring_.size() > w_) ring_.pop_front();
+  }
+
+  // The pairwise tree the in-place fold replaces.
+  WeightedSketch WindowSketch(KeywordId keyword) const {
+    std::vector<WeightedSketch> parts;
+    for (const auto& slot : ring_) {
+      const auto it = slot.find(keyword);
+      if (it != slot.end()) parts.push_back(it->second);
+    }
+    const std::size_t p = hasher_.p();
+    return TreeReduce(
+        std::move(parts),
+        [p](WeightedSketch a, WeightedSketch b) {
+          return WeightedMinHasher::Combine(a, b, p);
+        },
+        nullptr);
+  }
+
+  std::string Encode() const {
+    BinaryWriter out;
+    out.U32(static_cast<std::uint32_t>(kRefShards));
+    out.U64(w_);
+    out.U32(static_cast<std::uint32_t>(ring_.size()));
+    for (std::size_t s = 0; s < kRefShards; ++s) {
+      for (const auto& slot : ring_) {
+        std::size_t owned = 0;
+        for (const auto& [keyword, _] : slot) {
+          owned += keyword % kRefShards == s;
+        }
+        out.U64(owned);
+        for (const auto& [keyword, sketch] : slot) {
+          if (keyword % kRefShards != s) continue;
+          out.U32(keyword);
+          out.U32(static_cast<std::uint32_t>(sketch.size()));
+          for (const SketchEntry& entry : sketch) {
+            out.U64(entry.key);
+            out.F64(entry.score);
+          }
+        }
+      }
+    }
+    return out.data();
+  }
+
+ private:
+  std::size_t w_;
+  WeightedMinHasher hasher_;
+  std::deque<std::map<KeywordId, WeightedSketch>> ring_;
+};
+
+// Keyword universe of the random streams: a dense block plus sparse ids up
+// to UINT32_MAX - 1, so slots are recycled across far-apart ids.
+std::vector<KeywordId> StreamKeywords() {
+  std::vector<KeywordId> keywords;
+  for (KeywordId k = 0; k < 40; ++k) keywords.push_back(k);
+  for (KeywordId k : {1u << 20, 0x7FFFFFFFu, 0xFFFFFF00u, 0xFFFFFFF0u,
+                      0xFFFFFFFDu, 0xFFFFFFFEu}) {
+    keywords.push_back(k);
+  }
+  return keywords;
+}
+
+// One random quantum: keywords switch on and off in keyword-specific
+// epochs (so they leave the window and re-enter it), some burst, and users
+// mix a small shared pool (overlaps, repeats across quanta) with ids near
+// UINT32_MAX.
+QuantumAggregate RandomAggregate(Rng& rng, QuantumIndex index,
+                                 const std::vector<KeywordId>& keywords) {
+  std::map<KeywordId, std::map<UserId, std::uint32_t>> users_of;
+  for (KeywordId k : keywords) {
+    const std::uint64_t epoch =
+        static_cast<std::uint64_t>(index + 1000) / (2 + k % 7);
+    const bool on = (epoch + k) % 3 != 0;
+    if (!on || !rng.Bernoulli(0.6)) continue;
+    const bool burst = rng.Bernoulli(0.3);
+    const int users = 1 + static_cast<int>(rng.UniformInt(burst ? 9 : 3));
+    for (int i = 0; i < users; ++i) {
+      const UserId user =
+          rng.Bernoulli(0.1)
+              ? std::numeric_limits<UserId>::max() -
+                    static_cast<UserId>(rng.UniformInt(3))
+              : static_cast<UserId>(rng.UniformInt(40));
+      users_of[k][user] += 1 + static_cast<std::uint32_t>(rng.UniformInt(2));
+    }
+  }
+  QuantumAggregate aggregate;
+  aggregate.index = index;
+  for (const auto& [keyword, users] : users_of) {
+    QuantumAggregate::Entry entry;
+    entry.keyword = keyword;
+    for (const auto& [user, count] : users) {
+      entry.users.push_back(user);
+      entry.counts.push_back(count);
+    }
+    aggregate.keywords.push_back(std::move(entry));
+  }
+  return aggregate;
+}
+
+// A pure, quantum-dependent cluster-membership predicate for the
+// automaton's retention rule.
+bool PseudoInCluster(KeywordId keyword, QuantumIndex now) {
+  return (SplitMix64(keyword ^ (static_cast<std::uint64_t>(now) << 32)) &
+          3) == 0;
+}
+
+struct DiffParams {
+  std::size_t w;
+  std::uint64_t seed;
+  QuantumIndex first_quantum;
+  bool gaps;
+  bool weighted;
+  int quanta;
+};
+
+void PrintTo(const DiffParams& p, std::ostream* os) {
+  *os << "w=" << p.w << " seed=" << p.seed << " first=" << p.first_quantum
+      << " gaps=" << p.gaps << " weighted=" << p.weighted;
+}
+
+class AkgWindowDiffTest : public ::testing::TestWithParam<DiffParams> {};
+
+// The flat structures under test, one full set.
+struct FlatState {
+  FlatState(const DiffParams& params, std::uint32_t theta)
+      : ids(params.w),
+        nodes(theta, params.w),
+        sketches(params.w, 3, 0x5ca1ab1eULL, params.weighted) {}
+  UserIdSets ids;
+  NodeStateAutomaton nodes;
+  SketchWindow sketches;
+
+  std::string SaveAll() const {
+    BinaryWriter out;
+    ids.Save(out);
+    nodes.Save(out);
+    sketches.Save(out);
+    return out.data();
+  }
+
+  bool RestoreAll(const std::string& bytes) {
+    BinaryReader in(bytes);
+    return ids.Restore(in) && nodes.Restore(in) && sketches.Restore(in) &&
+           in.ok() && in.remaining() == 0;
+  }
+
+  NodeStateUpdate Ingest(const QuantumAggregate& aggregate) {
+    ids.IngestAggregate(aggregate, nullptr);
+    sketches.Ingest(aggregate, nullptr);
+    std::vector<std::pair<KeywordId, std::uint32_t>> counts;
+    for (KeywordId k : ids.QuantumKeywords()) {
+      counts.emplace_back(k,
+                          static_cast<std::uint32_t>(ids.QuantumSupport(k)));
+    }
+    const QuantumIndex now = aggregate.index;
+    return nodes.ProcessQuantum(
+        now, counts, [now](KeywordId k) { return PseudoInCluster(k, now); });
+  }
+};
+
+void ExpectSameUpdate(const NodeStateUpdate& got, const NodeStateUpdate& want,
+                      QuantumIndex q) {
+  EXPECT_EQ(got.entered, want.entered) << "quantum " << q;
+  EXPECT_EQ(got.bursty, want.bursty) << "quantum " << q;
+  EXPECT_EQ(got.seen_in_akg, want.seen_in_akg) << "quantum " << q;
+  EXPECT_EQ(got.removed, want.removed) << "quantum " << q;
+}
+
+TEST_P(AkgWindowDiffTest, FlatStateMatchesReferenceModel) {
+  const DiffParams params = GetParam();
+  constexpr std::uint32_t kTheta = 4;
+  const std::vector<KeywordId> keywords = StreamKeywords();
+  Rng rng(params.seed);
+
+  FlatState flat(params, kTheta);
+  std::unique_ptr<FlatState> restored;
+  RefIdSets ref_ids(params.w);
+  RefNodeState ref_nodes(kTheta, params.w);
+  RefSketchWindow ref_sketches(params.w, flat.sketches.hasher());
+
+  QuantumIndex now = params.first_quantum;
+  for (int step = 0; step < params.quanta; ++step) {
+    if (step > 0) {
+      now += params.gaps && rng.Bernoulli(0.15)
+                 ? 2 + static_cast<QuantumIndex>(rng.UniformInt(2 * params.w))
+                 : 1;
+    }
+    const QuantumAggregate aggregate = RandomAggregate(rng, now, keywords);
+    const NodeStateUpdate update = flat.Ingest(aggregate);
+    ref_ids.Ingest(aggregate);
+    ref_sketches.Ingest(aggregate);
+    std::vector<std::pair<KeywordId, std::uint32_t>> counts;
+    for (const auto& entry : aggregate.keywords) {
+      counts.emplace_back(entry.keyword,
+                          static_cast<std::uint32_t>(entry.users.size()));
+    }
+    const NodeStateUpdate want = ref_nodes.ProcessQuantum(
+        now, counts, [now](KeywordId k) { return PseudoInCluster(k, now); });
+
+    ASSERT_EQ(flat.ids.QuantumKeywords(), ref_ids.QuantumKeywords())
+        << "quantum " << now;
+    ExpectSameUpdate(update, want, now);
+    ASSERT_EQ(flat.nodes.tracked_keywords(), ref_nodes.tracked_keywords())
+        << "quantum " << now;
+    ASSERT_EQ(flat.nodes.akg_size(), ref_nodes.akg_size());
+    ASSERT_EQ(flat.ids.active_keywords(), ref_ids.active_keywords());
+    for (std::size_t i = 0; i < keywords.size(); ++i) {
+      const KeywordId a = keywords[i];
+      ASSERT_EQ(flat.ids.QuantumSupport(a), ref_ids.QuantumSupport(a));
+      ASSERT_EQ(flat.ids.WindowSupport(a), ref_ids.WindowSupport(a));
+      std::set<UserId> users;
+      flat.ids.VisitWindowUsers(a, [&](UserId u) {
+        EXPECT_TRUE(users.insert(u).second) << "user visited twice";
+      });
+      ASSERT_EQ(users.size(), ref_ids.WindowSupport(a));
+      ASSERT_EQ(flat.sketches.WindowSketch(a), ref_sketches.WindowSketch(a))
+          << "keyword " << a << " quantum " << now;
+      for (std::size_t j = i; j < keywords.size(); j += 3) {
+        ASSERT_EQ(flat.ids.Jaccard(a, keywords[j]),
+                  ref_ids.Jaccard(a, keywords[j]))
+            << a << " vs " << keywords[j] << " quantum " << now;
+      }
+    }
+    {
+      BinaryWriter ids, nodes, sketches;
+      flat.ids.Save(ids);
+      flat.nodes.Save(nodes);
+      flat.sketches.Save(sketches);
+      ASSERT_EQ(ids.data(), ref_ids.Encode()) << "quantum " << now;
+      ASSERT_EQ(nodes.data(), ref_nodes.Encode()) << "quantum " << now;
+      ASSERT_EQ(sketches.data(), ref_sketches.Encode()) << "quantum " << now;
+    }
+
+    // Save -> Restore halfway; the restored copy then runs alongside and
+    // must stay byte-identical.
+    if (restored != nullptr) {
+      ExpectSameUpdate(restored->Ingest(aggregate), update, now);
+      ASSERT_EQ(restored->SaveAll(), flat.SaveAll()) << "quantum " << now;
+    }
+    if (step == params.quanta / 2) {
+      restored = std::make_unique<FlatState>(params, kTheta);
+      ASSERT_TRUE(restored->RestoreAll(flat.SaveAll()));
+      ASSERT_EQ(restored->SaveAll(), flat.SaveAll());
+      if (!params.weighted) {
+        // Unweighted rings also rebuild from the id-set histories alone.
+        SketchWindow rebuilt(params.w, 3, 0x5ca1ab1eULL, false);
+        rebuilt.RebuildFromHistory(restored->ids);
+        BinaryWriter a, b;
+        rebuilt.Save(a);
+        flat.sketches.Save(b);
+        ASSERT_EQ(a.data(), b.data());
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Streams, AkgWindowDiffTest,
+    ::testing::Values(DiffParams{1, 11, 0, true, false, 160},
+                      DiffParams{30, 12, 0, true, false, 160},
+                      DiffParams{30, 13, 5, false, true, 160},
+                      DiffParams{4, 14, -9, true, true, 200},
+                      DiffParams{7, 15, 1000, true, false, 200}));
+
+// Forged or out-of-order stamps: a restored automaton whose last-seen
+// stamps lie ahead of the quanta that follow still prunes exactly like the
+// full sweep once the horizon passes them.
+TEST(NodeStateTest, FutureStampsPruneLikeTheFullSweep) {
+  NodeStateAutomaton automaton(4, 3);
+  RefNodeState reference(4, 3);
+  const auto never = [](KeywordId) { return false; };
+  automaton.ProcessQuantum(50, Counts({{1, 1}, {2, 1}}), never);
+  reference.ProcessQuantum(50, Counts({{1, 1}, {2, 1}}), never);
+  // Time runs backwards (a caller's choice the automaton tolerates).
+  for (QuantumIndex q = 10; q < 60; ++q) {
+    const auto counts = Counts({{static_cast<KeywordId>(q % 5 + 3), 5}});
+    ExpectSameUpdate(automaton.ProcessQuantum(q, counts, never),
+                     reference.ProcessQuantum(q, counts, never), q);
+    ASSERT_EQ(automaton.tracked_keywords(), reference.tracked_keywords())
+        << "quantum " << q;
+    BinaryWriter out;
+    automaton.Save(out);
+    ASSERT_EQ(out.data(), reference.Encode()) << "quantum " << q;
+  }
+}
+
+// A last-bursty stamp for an untracked keyword cannot arise from any
+// stream; Restore rejects it instead of tracking a stamp it never prunes.
+TEST(NodeStateTest, RestoreRejectsBurstyStampWithoutLastSeen) {
+  BinaryWriter out;
+  out.U64(1);  // last-seen
+  out.U32(7);
+  out.I64(3);
+  out.U64(1);  // last-bursty, for keyword 8 (untracked)
+  out.U32(8);
+  out.I64(3);
+  out.U64(0);  // members
+  NodeStateAutomaton automaton(4, 3);
+  BinaryReader in(out.data());
+  EXPECT_FALSE(automaton.Restore(in));
+  EXPECT_EQ(automaton.tracked_keywords(), 0u);
+}
+
+// The shard-parallel fold: UserIdSets, SketchWindow and the whole
+// AkgBuilder folded through a real 4-thread ShardPool equal the serial
+// fold, query for query and byte for byte.
+TEST(AkgParallelFoldTest, ShardPoolFoldEqualsSerialFold) {
+  engine::ShardPool pool(4);
+  const ParallelForFn pooled =
+      [&pool](std::size_t n, const std::function<void(std::size_t)>& body) {
+        pool.ParallelFor(n, body);
+      };
+  std::vector<KeywordId> keywords = StreamKeywords();
+  for (KeywordId k = 100; k < 180; ++k) keywords.push_back(k);
+
+  for (bool weighted : {false, true}) {
+    UserIdSets serial_ids(6), pooled_ids(6);
+    SketchWindow serial_sketches(6, 4, 7, weighted);
+    SketchWindow pooled_sketches(6, 4, 7, weighted);
+    AkgConfig config;
+    config.window_length = 6;
+    config.high_state_threshold = 3;
+    config.weighted_minhash = weighted;
+    AkgBuilder serial_builder(config, [](KeywordId) { return false; });
+    AkgBuilder pooled_builder(config, [](KeywordId) { return false; });
+    pooled_builder.set_parallel_for(pooled);
+
+    Rng rng(weighted ? 21 : 22);
+    for (QuantumIndex q = 0; q < 40; ++q) {
+      const QuantumAggregate aggregate = RandomAggregate(rng, q, keywords);
+      serial_ids.IngestAggregate(aggregate, nullptr);
+      pooled_ids.IngestAggregate(aggregate, pooled);
+      serial_sketches.Ingest(aggregate, nullptr);
+      pooled_sketches.Ingest(aggregate, pooled);
+      serial_builder.ProcessAggregate(aggregate);
+      pooled_builder.ProcessAggregate(aggregate);
+
+      ASSERT_EQ(pooled_ids.QuantumKeywords(), serial_ids.QuantumKeywords());
+      for (KeywordId k : keywords) {
+        ASSERT_EQ(pooled_ids.WindowSupport(k), serial_ids.WindowSupport(k));
+        ASSERT_EQ(pooled_sketches.WindowSketch(k),
+                  serial_sketches.WindowSketch(k));
+      }
+      BinaryWriter a, b, c, d, e, f;
+      serial_ids.Save(a);
+      pooled_ids.Save(b);
+      serial_sketches.Save(c);
+      pooled_sketches.Save(d);
+      serial_builder.Save(e);
+      pooled_builder.Save(f);
+      ASSERT_EQ(a.data(), b.data()) << "quantum " << q;
+      ASSERT_EQ(c.data(), d.data()) << "quantum " << q;
+      ASSERT_EQ(e.data(), f.data()) << "quantum " << q;
+    }
+  }
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 // failure — never crash, abort, leak (this suite runs in the ASan+UBSan CI
 // job) or balloon allocation from a forged count.
 
+#include <sys/resource.h>
+
 #include <functional>
 #include <limits>
 #include <memory>
@@ -285,6 +287,87 @@ TEST(CheckpointFuzzTest, ForgedSnapshotWithoutSignaturesIsRejected) {
   ASSERT_TRUE(sio::WriteFrame(out, sio::FrameKind::kFull, w.data()));
   EXPECT_EQ(detect::LoadCheckpoint(out, nullptr), nullptr)
       << "signature-less AKG edge accepted — would crash on next quantum";
+}
+
+long PeakRssKb() {
+  struct rusage usage {};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_maxrss;
+}
+
+// Keyword ids are interned and dense in practice, but a trace, the public
+// API or a forged snapshot with a valid CRC can carry any u32. The AKG
+// window state must size itself by the keywords it holds, never by the
+// largest id: a keyword 0xFFFFFFFE arriving both ways is accepted or
+// rejected with a typed error, and the peak RSS barely moves.
+TEST(CheckpointFuzzTest, KeywordIdNearMaxDoesNotScaleMemory) {
+  constexpr KeywordId kHuge = 0xFFFF'FFFEu;
+  detect::DetectorConfig config;
+  config.quantum_size = 100;
+  config.akg.window_length = 8;
+  config.akg.high_state_threshold = 3;
+  const long rss_before = PeakRssKb();
+
+  // A CRC-valid snapshot whose one retained quantum used kHuge. Mirrors
+  // EventDetector::SaveState's section order field by field.
+  BinaryWriter w;
+  sio::WriteConfig(w, config);
+  w.I64(1);  // next_index
+  w.U64(0);  // no pending messages
+  w.I64(0);  // AKG clock
+  w.U32(16);  // id-set shard count
+  w.U64(config.akg.window_length);
+  for (KeywordId shard = 0; shard < 16; ++shard) {
+    w.U32(1);  // depth 1
+    if (shard == kHuge % 16) {
+      w.U64(1);
+      w.U32(kHuge);
+      w.U32(5);  // user
+    } else {
+      w.U64(0);
+    }
+  }
+  w.U64(1);  // last_seen: kHuge at quantum 0
+  w.U32(kHuge);
+  w.I64(0);
+  w.U64(0);  // last_bursty empty
+  w.U64(0);  // no AKG members
+  w.U64(0);  // graph: no nodes
+  w.U64(0);  // no edges
+  w.U64(0);  // no signatures
+  w.U64(0);  // no correlations
+  for (int i = 0; i < 7; ++i) w.U64(0);  // AkgQuantumStats
+  w.U64(0);  // maintainer graph nodes
+  w.U64(0);  // maintainer graph edges
+  w.U64(0);  // cluster next_id
+  w.U64(0);  // cluster count
+  w.I64(0);
+  for (int i = 0; i < 8; ++i) w.U64(0);  // MaintenanceStats
+  w.U64(0);  // rank tracker: no histories
+  w.U64(0);  // reported set: empty
+  std::stringstream frame;
+  ASSERT_TRUE(sio::WriteFrame(frame, sio::FrameKind::kFull, w.data()));
+  // The state is a legitimate one (a keyword seen once, no bursts), so it
+  // loads.
+  std::unique_ptr<detect::EventDetector> loaded =
+      detect::LoadCheckpoint(frame, nullptr);
+  ASSERT_NE(loaded, nullptr);
+
+  // The same id through the public API: enough users for it to burst, so
+  // it also enters the node automaton, the AKG and the sketch ring.
+  detect::EventDetector fresh(config, nullptr);
+  for (detect::EventDetector* detector : {loaded.get(), &fresh}) {
+    for (std::uint64_t i = 0; i < 5 * config.quantum_size; ++i) {
+      stream::Message m;
+      m.user = static_cast<UserId>(i % 7);
+      m.seq = i;
+      m.keywords = {kHuge, static_cast<KeywordId>(kHuge - 16)};
+      detector->Push(m);
+    }
+    EXPECT_GT(detector->akg().node_state().tracked_keywords(), 0u);
+  }
+  EXPECT_LT(PeakRssKb() - rss_before, 4 * 1024)
+      << "AKG state grew with the keyword id value";
 }
 
 TEST(CheckpointFuzzTest, RandomGarbageIsRejected) {

@@ -16,6 +16,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -648,6 +649,23 @@ TEST_F(FlightRecorderTest, FatalErrorPathWritesBundleWithDetail) {
   EXPECT_NE(bundle.find("store: page file open failed"),
             std::string::npos);
   EXPECT_NE(bundle.find("\"metrics\":{"), std::string::npos);
+}
+
+// The first uptime read of a process must not go negative. The
+// "threadsafe" death-test style re-executes this binary for the child, so
+// its statics — the lazily built clock anchor among them — are fresh and
+// the call below really is the process's first use.
+TEST(ProcessClockDeathTest, FirstUptimeReadIsNonNegative) {
+  const std::string style = ::testing::FLAGS_gtest_death_test_style;
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        const double uptime = obs::ProcessUptimeSeconds();
+        std::fprintf(stderr, "first uptime %.9f\n", uptime);
+        std::exit(uptime >= 0.0 ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "first uptime");
+  ::testing::FLAGS_gtest_death_test_style = style;
 }
 
 #endif  // !SCPRT_TSAN
