@@ -2,13 +2,12 @@
 //
 // U32Index is an open-addressing u32 -> u32 table (power-of-two capacity,
 // linear probing, backward-shift deletion, so no tombstones ever build up)
-// — the layout of the flat hash maps dnbaker's bmh.h builds on. FlatU32Map
-// keeps its entries densely and puts a U32Index over them once they
-// outgrow a linear scan; it holds a keyword's window users (user ->
-// multiplicity). KeywordSlots hands out dense slot numbers for the keywords
-// one structure currently holds and recycles them when a keyword leaves,
-// so arrays indexed by slot scale with the live keyword count and never
-// with the magnitude of a keyword id.
+// — the layout of the flat hash maps dnbaker's bmh.h builds on. It holds a
+// keyword's window users (user -> multiplicity, an absent user reading 0)
+// and, inside KeywordSlots, keyword -> slot. KeywordSlots hands out dense
+// slot numbers for the keywords one structure currently holds and recycles
+// them when a keyword leaves, so arrays indexed by slot scale with the live
+// keyword count and never with the magnitude of a keyword id.
 //
 // Iteration order is a function of the operation history only. Nothing
 // observable depends on it: every encoding and every report sorts first.
@@ -16,6 +15,7 @@
 #ifndef SCPRT_AKG_FLAT_MAP_H_
 #define SCPRT_AKG_FLAT_MAP_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -54,14 +54,76 @@ class U32Index {
     ++size_;
   }
 
-  /// Replaces a present `key`'s value (nonzero).
-  void Set(std::uint32_t key, std::uint32_t value) {
-    buckets_[Find(key)].value = value;
+  /// Erases a present `key`.
+  void Erase(std::uint32_t key) { EraseAt(Find(key)); }
+
+  /// Adds one to `key`'s value, inserting it as 1 when absent.
+  void Increment(std::uint32_t key) {
+    if (size_ != 0) {
+      for (std::size_t i = Home(key);; i = (i + 1) & mask_) {
+        Bucket& b = buckets_[i];
+        if (b.value == 0) break;
+        if (b.key == key) {
+          ++b.value;
+          return;
+        }
+      }
+    }
+    Insert(key, 1);
   }
 
-  /// Erases a present `key`.
-  void Erase(std::uint32_t key) {
-    std::size_t hole = Find(key);
+  /// Subtracts one from a present `key`'s value, erasing the key at 0.
+  void Decrement(std::uint32_t key) {
+    const std::size_t i = Find(key);
+    if (--buckets_[i].value == 0) EraseAt(i);
+  }
+
+  /// Number of this index's keys also present in `other`: one lookup per
+  /// key here, so pass the smaller index as this.
+  std::size_t CountShared(const U32Index& other) const {
+    std::size_t shared = 0;
+    ForEach([&](std::uint32_t key, std::uint32_t) {
+      shared += other.Get(key) != 0;
+    });
+    return shared;
+  }
+
+  /// Calls visit(key, value) for every entry, in bucket order. The load
+  /// never falls below 1/8, so the walk is O(size).
+  template <typename Visitor>
+  void ForEach(Visitor&& visit) const {
+    // Occupied buckets are gathered a block at a time without a branch, so
+    // a sparse table does not cost a mispredicted branch per bucket.
+    constexpr std::size_t kBlock = 64;
+    Bucket block[kBlock];
+    for (std::size_t base = 0; base < buckets_.size(); base += kBlock) {
+      const std::size_t end = std::min(buckets_.size(), base + kBlock);
+      std::size_t n = 0;
+      for (std::size_t i = base; i < end; ++i) {
+        block[n] = buckets_[i];
+        n += buckets_[i].value != 0;
+      }
+      for (std::size_t j = 0; j < n; ++j) visit(block[j].key, block[j].value);
+    }
+  }
+
+ private:
+  struct Bucket {
+    std::uint32_t key = 0;
+    std::uint32_t value = 0;
+  };
+
+  static constexpr std::size_t kMinCapacity = 4;
+
+  // Fibonacci hashing: the top bits of key * 2^64/phi. Spreads the dense,
+  // sequential ids interning produces across the whole table.
+  std::size_t Home(std::uint32_t key) const {
+    return static_cast<std::size_t>(
+        (static_cast<std::uint64_t>(key) * 0x9E3779B97F4A7C15ULL) >> shift_);
+  }
+
+  // Empties bucket `hole`, a member's.
+  void EraseAt(std::size_t hole) {
     // Backward shift: pull later members of the probe run into the hole
     // whenever the hole lies between their home bucket and them.
     for (std::size_t j = (hole + 1) & mask_; buckets_[j].value != 0;
@@ -80,24 +142,6 @@ class U32Index {
       Rehash(buckets_.size() / 4 < kMinCapacity ? kMinCapacity
                                                 : buckets_.size() / 4);
     }
-  }
-
-  /// Drops every entry and the buffer.
-  void Release() { *this = U32Index{}; }
-
- private:
-  struct Bucket {
-    std::uint32_t key = 0;
-    std::uint32_t value = 0;
-  };
-
-  static constexpr std::size_t kMinCapacity = 4;
-
-  // Fibonacci hashing: the top bits of key * 2^64/phi. Spreads the dense,
-  // sequential ids interning produces across the whole table.
-  std::size_t Home(std::uint32_t key) const {
-    return static_cast<std::size_t>(
-        (static_cast<std::uint64_t>(key) * 0x9E3779B97F4A7C15ULL) >> shift_);
   }
 
   // Bucket of a present key.
@@ -129,99 +173,6 @@ class U32Index {
   std::size_t size_ = 0;
   std::size_t mask_ = 0;
   unsigned shift_ = 64;
-};
-
-/// Map from u32 keys to u32 counts. Entries are stored densely
-/// (swap-removed on erase), so iteration touches live entries only. Small
-/// maps — the common case — are searched by a linear scan; past kLinear
-/// entries a U32Index maps each key to its entry position.
-class FlatU32Map {
- public:
-  std::size_t size() const { return entries_.size(); }
-  bool empty() const { return entries_.empty(); }
-
-  bool Contains(std::uint32_t key) const { return Position(key) != kAbsent; }
-
-  /// Adds one to `key`'s count, inserting it as 1 when absent.
-  void Increment(std::uint32_t key) {
-    const std::size_t pos = Position(key);
-    if (pos != kAbsent) {
-      ++entries_[pos].count;
-      return;
-    }
-    entries_.push_back(Entry{key, 1});
-    if (indexed()) {
-      index_.Insert(key, static_cast<std::uint32_t>(entries_.size()));
-    } else if (entries_.size() > kLinear) {
-      for (std::size_t p = 0; p < entries_.size(); ++p) {
-        index_.Insert(entries_[p].key, static_cast<std::uint32_t>(p + 1));
-      }
-    }
-  }
-
-  /// Subtracts one from a present `key`'s count and erases the key when it
-  /// reaches zero.
-  void Decrement(std::uint32_t key) {
-    const std::size_t pos = Position(key);
-    SCPRT_DCHECK(pos != kAbsent);
-    if (--entries_[pos].count > 0) return;
-    if (indexed()) index_.Erase(key);
-    if (pos + 1 != entries_.size()) {
-      entries_[pos] = entries_.back();
-      if (indexed()) {
-        index_.Set(entries_[pos].key, static_cast<std::uint32_t>(pos + 1));
-      }
-    }
-    entries_.pop_back();
-    // Back to scanning well below the threshold, so a size hovering at it
-    // does not rebuild the index over and over.
-    if (indexed() && entries_.size() * 2 <= kLinear) index_.Release();
-    // Like the index, the entries give back a burst's footprint.
-    if (entries_.capacity() > 4 * kLinear &&
-        entries_.size() * 8 < entries_.capacity()) {
-      entries_.shrink_to_fit();
-    }
-  }
-
-  /// Number of this map's keys also present in `other`: one lookup per
-  /// entry here, so pass the smaller map as this.
-  std::size_t CountShared(const FlatU32Map& other) const {
-    std::size_t shared = 0;
-    for (const Entry& e : entries_) shared += other.Contains(e.key);
-    return shared;
-  }
-
-  /// Calls visit(key, count) for every entry, in storage order.
-  template <typename Visitor>
-  void ForEach(Visitor&& visit) const {
-    for (const Entry& e : entries_) visit(e.key, e.count);
-  }
-
- private:
-  struct Entry {
-    std::uint32_t key;
-    std::uint32_t count;
-  };
-
-  static constexpr std::size_t kLinear = 8;
-  static constexpr std::size_t kAbsent =
-      std::numeric_limits<std::size_t>::max();
-
-  bool indexed() const { return index_.size() != 0; }
-
-  std::size_t Position(std::uint32_t key) const {
-    if (indexed()) {
-      const std::uint32_t pos = index_.Get(key);
-      return pos == 0 ? kAbsent : pos - 1;
-    }
-    for (std::size_t p = 0; p < entries_.size(); ++p) {
-      if (entries_[p].key == key) return p;
-    }
-    return kAbsent;
-  }
-
-  std::vector<Entry> entries_;
-  U32Index index_;  // key -> position + 1, while size() > kLinear / 2
 };
 
 /// Dense slot numbers for the keywords a structure currently holds. A

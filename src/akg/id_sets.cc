@@ -65,11 +65,11 @@ void UserIdSets::ExpirePairs(Shard& shard, const Pairs& pairs) {
     const KeywordId keyword = pairs[i].first;
     const std::uint32_t slot = shard.slots.Find(keyword);
     SCPRT_DCHECK(slot != KeywordSlots::kNone);
-    FlatU32Map& users = shard.keywords[slot].users;
+    U32Index& users = shard.keywords[slot].users;
     for (; i < pairs.size() && pairs[i].first == keyword; ++i) {
       users.Decrement(pairs[i].second);
     }
-    if (users.empty()) shard.slots.Release(keyword);
+    if (users.size() == 0) shard.slots.Release(keyword);
   }
 }
 
@@ -134,7 +134,7 @@ void UserIdSets::IngestAggregate(const QuantumAggregate& aggregate,
   MergeQuantumKeywords();
 }
 
-const FlatU32Map* UserIdSets::WindowTable(KeywordId keyword) const {
+const U32Index* UserIdSets::WindowTable(KeywordId keyword) const {
   const Shard& shard = shards_[ShardOf(keyword)];
   const std::uint32_t slot = shard.slots.Find(keyword);
   return slot == KeywordSlots::kNone ? nullptr : &shard.keywords[slot].users;
@@ -147,13 +147,13 @@ std::size_t UserIdSets::QuantumSupport(KeywordId keyword) const {
 }
 
 std::size_t UserIdSets::WindowSupport(KeywordId keyword) const {
-  const FlatU32Map* users = WindowTable(keyword);
+  const U32Index* users = WindowTable(keyword);
   return users == nullptr ? 0 : users->size();
 }
 
 double UserIdSets::Jaccard(KeywordId a, KeywordId b) const {
-  const FlatU32Map* small = WindowTable(a);
-  const FlatU32Map* large = WindowTable(b);
+  const U32Index* small = WindowTable(a);
+  const U32Index* large = WindowTable(b);
   if (small == nullptr || large == nullptr) return 0.0;
   if (small->size() > large->size()) std::swap(small, large);
   const std::size_t intersection = small->CountShared(*large);

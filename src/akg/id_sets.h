@@ -82,7 +82,7 @@ class UserIdSets {
   /// the window, in unspecified order. Allocates nothing.
   template <typename Visitor>
   void VisitWindowUsers(KeywordId keyword, Visitor&& visit) const {
-    if (const FlatU32Map* users = WindowTable(keyword)) {
+    if (const U32Index* users = WindowTable(keyword)) {
       users->ForEach([&](UserId user, std::uint32_t) { visit(user); });
     }
   }
@@ -124,7 +124,7 @@ class UserIdSets {
   /// One keyword's window state, at its slot.
   struct KeywordState {
     // user -> multiplicity across the retained quanta.
-    FlatU32Map users;
+    U32Index users;
     // Distinct users in the most recent closed quantum (0 if absent).
     std::uint32_t last_support = 0;
   };
@@ -149,7 +149,7 @@ class UserIdSets {
   }
 
   /// The keyword's window user table, or null when it is not in the window.
-  const FlatU32Map* WindowTable(KeywordId keyword) const;
+  const U32Index* WindowTable(KeywordId keyword) const;
 
   /// Ring position of the i-th oldest retained quantum.
   std::size_t RingPos(std::size_t i) const {
