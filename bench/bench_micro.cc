@@ -2,10 +2,14 @@
 // mutation, short-cycle queries, incremental cluster maintenance vs offline
 // recomputation, Min-Hash signatures and exact Jaccard.
 
+#include <unordered_map>
+#include <vector>
+
 #include <benchmark/benchmark.h>
 
 #include "akg/id_sets.h"
 #include "akg/minhash.h"
+#include "akg/quantum_aggregate.h"
 #include "cluster/maintenance.h"
 #include "cluster/offline.h"
 #include "common/random.h"
@@ -100,14 +104,15 @@ void BM_MinHashSignature(benchmark::State& state) {
 BENCHMARK(BM_MinHashSignature)->Arg(16)->Arg(128)->Arg(1024);
 
 void BM_ExactJaccard(benchmark::State& state) {
-  akg::UserIdSets sets(30);
+  akg::UserIdSets sets(30, 8, 42, /*weighted=*/false);
   Rng rng(7);
-  sets.BeginQuantum();
+  std::unordered_map<KeywordId, std::vector<UserId>> users_of;
   for (int i = 0; i < state.range(0); ++i) {
-    sets.Add(1, static_cast<UserId>(rng.UniformInt(100000)));
-    sets.Add(2, static_cast<UserId>(rng.UniformInt(100000)));
+    users_of[1].push_back(static_cast<UserId>(rng.UniformInt(100000)));
+    users_of[2].push_back(static_cast<UserId>(rng.UniformInt(100000)));
   }
-  sets.EndQuantum();
+  sets.IngestAggregate(akg::CanonicalAggregate(std::move(users_of), 0),
+                       nullptr);
   for (auto _ : state) {
     benchmark::DoNotOptimize(sets.Jaccard(1, 2));
   }

@@ -1,18 +1,16 @@
 // Min-Hash sketch micro-bench: per-quantum sketch build cost and the
-// window-merge cost of two reductions — a left fold through the
-// allocating Combine vs CombineTree, the in-place left fold the AKG
-// builder now uses (it replaced a pairwise tree reduction; the JSON keys
-// keep their historical names for scripts/bench_trend.py).
+// window-merge cost of two left folds — through the allocating Combine vs
+// through FoldInto, the in-place fold the keyword window uses.
 //
 // Runs a synthetic trace through the canonical aggregation path, caches
 // every keyword's per-quantum sketches, then times:
 //
 //   * build_ns_per_entry     — QuantumSketch over every (keyword, quantum)
 //                              aggregate entry, unweighted and weighted;
-//   * serial_fold_ns_per_window / tree_reduce_ns_per_window — producing
+//   * serial_fold_ns_per_window / fold_into_ns_per_window — producing
 //     every keyword's window sketch from its cached per-quantum sketches,
-//     once by allocating left fold, once by CombineTree (both give
-//     bit-identical sketches; the harness verifies it).
+//     once through Combine, once through FoldInto (both give bit-identical
+//     sketches; the harness verifies it and exits 1 if they differ).
 //
 // With --json FILE the results are written as a flat metric dict
 // (nanoseconds — lower is better) for scripts/bench_trend.py.
@@ -41,6 +39,16 @@ struct KeywordRing {
   scprt::KeywordId keyword = 0;
   std::vector<WeightedSketch> quanta;  // the window's per-quantum sketches
 };
+
+// The window sketch folded in place, as the keyword window folds it.
+WeightedSketch FoldInPlace(const KeywordRing& ring, std::size_t p) {
+  WeightedSketch acc;
+  WeightedSketch scratch;
+  for (const WeightedSketch& part : ring.quanta) {
+    WeightedMinHasher::FoldInto(acc, part, p, scratch);
+  }
+  return acc;
+}
 
 }  // namespace
 
@@ -103,7 +111,7 @@ int main(int argc, char** argv) {
                 build_ns[weighted ? 1 : 0], built);
   }
 
-  // --- window merge: allocating fold vs CombineTree over the same rings ---
+  // --- window merge: allocating fold vs FoldInto over the same rings ---
   const WeightedMinHasher hasher(kP, 0x5ca1ab1eULL, /*weighted=*/true);
   std::unordered_map<scprt::KeywordId, KeywordRing> rings;
   for (const scprt::akg::QuantumAggregate& aggregate : aggregates) {
@@ -123,7 +131,7 @@ int main(int argc, char** argv) {
   }
   std::printf("%zu keywords with multi-quantum windows\n", windows);
 
-  double fold_ns = 0.0, tree_ns = 0.0;
+  double fold_ns = 0.0, in_place_ns = 0.0;
   std::size_t mismatches = 0;
   {
     scprt::eval::Stopwatch watch;
@@ -146,25 +154,25 @@ int main(int argc, char** argv) {
     std::size_t sink = 0;
     for (int round = 0; round < kRounds; ++round) {
       for (const auto& [keyword, ring] : rings) {
-        sink += WeightedMinHasher::CombineTree(ring.quanta, kP).size();
+        sink += FoldInPlace(ring, kP).size();
       }
     }
-    tree_ns = watch.ElapsedSeconds() * 1e9 / (kRounds * rings.size());
-    std::printf("CombineTree (in place): %8.1f ns/window (checksum %zu)\n",
-                tree_ns, sink);
+    in_place_ns = watch.ElapsedSeconds() * 1e9 / (kRounds * rings.size());
+    std::printf("FoldInto (in place)   : %8.1f ns/window (checksum %zu)\n",
+                in_place_ns, sink);
   }
 
-  // Correctness spot check: the two reductions agree bit for bit.
+  // Correctness spot check: the two folds agree bit for bit.
   for (const auto& [keyword, ring] : rings) {
     WeightedSketch folded;
     for (const WeightedSketch& part : ring.quanta) {
       folded = WeightedMinHasher::Combine(folded, part, kP);
     }
-    if (folded != WeightedMinHasher::CombineTree(ring.quanta, kP)) {
+    if (folded != FoldInPlace(ring, kP)) {
       ++mismatches;
     }
   }
-  std::printf("fold vs CombineTree   : %s\n",
+  std::printf("Combine vs FoldInto   : %s\n",
               mismatches == 0 ? "bit-identical" : "DIVERGED (bug!)");
   if (mismatches != 0) return 1;
 
@@ -181,9 +189,9 @@ int main(int argc, char** argv) {
                  "  \"build\": {\"unweighted_ns_per_entry\": %.1f, "
                  "\"weighted_ns_per_entry\": %.1f},\n"
                  "  \"merge\": {\"serial_fold_ns_per_window\": %.1f, "
-                 "\"tree_reduce_ns_per_window\": %.1f}\n"
+                 "\"fold_into_ns_per_window\": %.1f}\n"
                  "}\n",
-                 kP, kWindow, build_ns[0], build_ns[1], fold_ns, tree_ns);
+                 kP, kWindow, build_ns[0], build_ns[1], fold_ns, in_place_ns);
     std::fclose(out);
   }
   return 0;

@@ -29,10 +29,9 @@ AkgBuilder::AkgBuilder(const AkgConfig& config,
                        std::function<bool(KeywordId)> in_cluster)
     : config_(config),
       in_cluster_(std::move(in_cluster)),
-      id_sets_(config.window_length),
-      node_state_(config.high_state_threshold, config.window_length),
-      sketch_window_(config.window_length, ResolveMinHashSize(config),
-                     config.seed, config.weighted_minhash) {
+      window_(config.window_length, ResolveMinHashSize(config), config.seed,
+              config.weighted_minhash),
+      node_state_(config.high_state_threshold, config.window_length) {
   SCPRT_CHECK(config.ec_threshold > 0.0 && config.ec_threshold <= 1.0);
   SCPRT_CHECK(in_cluster_ != nullptr);
 }
@@ -52,26 +51,25 @@ GraphDelta AkgBuilder::ProcessAggregate(const QuantumAggregate& aggregate) {
   now_ = aggregate.index;
   last_stats_ = AkgQuantumStats{};
 
-  // --- 1. Ingest the quantum's (keyword, user) aggregate into id sets and
-  //        the per-quantum sketch ring; both folds + expiries run
+  // --- 1. Ingest the quantum's (keyword, user) aggregate into the keyword
+  //        window: id-set fold, per-quantum sketches and expiry run
   //        keyword-shard-parallel ---
   {
-    // Sketch-ring ingest cost (id-set fold + per-quantum Min-Hash build);
+    // Window ingest cost (id-set fold + per-quantum Min-Hash build);
     // batch-level timing only — per-keyword clocks would swamp the work.
     static obs::Histogram* const sketch_hist =
         obs::Registry::Default().GetHistogram("akg.sketch_ingest_ns");
     obs::ScopedSpan span("akg.sketch");
     obs::ScopedHistogramTimer timer(sketch_hist);
-    id_sets_.IngestAggregate(aggregate, parallel_for_);
-    sketch_window_.Ingest(aggregate, parallel_for_);
+    window_.IngestAggregate(aggregate, parallel_for_);
   }
 
   // --- 2. Node state transitions (Section 3.1) ---
   std::vector<std::pair<KeywordId, std::uint32_t>> quantum_keywords;
-  quantum_keywords.reserve(id_sets_.QuantumKeywords().size());
-  for (KeywordId k : id_sets_.QuantumKeywords()) {
+  quantum_keywords.reserve(window_.QuantumKeywords().size());
+  for (KeywordId k : window_.QuantumKeywords()) {
     quantum_keywords.emplace_back(
-        k, static_cast<std::uint32_t>(id_sets_.QuantumSupport(k)));
+        k, static_cast<std::uint32_t>(window_.QuantumSupport(k)));
   }
   const NodeStateUpdate update =
       node_state_.ProcessQuantum(now_, quantum_keywords, in_cluster_);
@@ -111,7 +109,7 @@ GraphDelta AkgBuilder::ProcessAggregate(const QuantumAggregate& aggregate) {
     obs::ScopedSpan span("akg.refresh");
     obs::ScopedHistogramTimer timer(refresh_hist);
     parallel_for_(refresh.size(), [&](std::size_t i) {
-      refreshed[i].sketch = sketch_window_.WindowSketch(refresh[i]);
+      refreshed[i].sketch = window_.WindowSketch(refresh[i]);
       refreshed[i].values = WeightedMinHasher::Values(refreshed[i].sketch);
     });
   }
@@ -162,8 +160,8 @@ GraphDelta AkgBuilder::ProcessAggregate(const QuantumAggregate& aggregate) {
   parallel_for_(add_jobs.size(), [&](std::size_t i) {
     const auto [a, b] = add_jobs[i];
     add_ecs[i] = ComputeEc(config_.ec_mode, config_.weighted_minhash,
-                           id_sets_, a, b, signatures_.at(a),
-                           signatures_.at(b), sketch_window_.hasher().p());
+                           window_, a, b, signatures_.at(a),
+                           signatures_.at(b), window_.hasher().p());
   });
   last_stats_.ec_computed += add_jobs.size();
   for (std::size_t i = 0; i < add_jobs.size(); ++i) {
@@ -202,8 +200,8 @@ GraphDelta AkgBuilder::ProcessAggregate(const QuantumAggregate& aggregate) {
     // Both signatures may be stale for the untouched endpoint; EC is
     // computed from exact id sets except in kMinHashOnly mode.
     reval_ecs[i] = ComputeEc(config_.ec_mode, config_.weighted_minhash,
-                             id_sets_, a, b, signatures_.at(a),
-                             signatures_.at(b), sketch_window_.hasher().p());
+                             window_, a, b, signatures_.at(a),
+                             signatures_.at(b), window_.hasher().p());
   });
   last_stats_.ec_computed += reval_jobs.size();
   for (std::size_t i = 0; i < reval_jobs.size(); ++i) {
@@ -231,7 +229,7 @@ GraphDelta AkgBuilder::ProcessAggregate(const QuantumAggregate& aggregate) {
 
 WeightedSketch AkgBuilder::ExportClusterSketch(
     const std::vector<KeywordId>& keywords) const {
-  const std::size_t p = sketch_window_.hasher().p();
+  const std::size_t p = window_.hasher().p();
   WeightedSketch sketch;
   WeightedSketch scratch;
   for (KeywordId keyword : keywords) {
@@ -244,12 +242,12 @@ WeightedSketch AkgBuilder::ExportClusterSketch(
 }
 
 std::size_t AkgBuilder::sketch_size() const {
-  return sketch_window_.hasher().p();
+  return window_.hasher().p();
 }
 
 void AkgBuilder::Save(BinaryWriter& out) const {
   out.I64(now_);
-  id_sets_.Save(out);
+  window_.Save(out);
   node_state_.Save(out);
   akg_.Save(out);
 
@@ -282,7 +280,7 @@ void AkgBuilder::Save(BinaryWriter& out) const {
       }
     }
   }
-  if (config_.weighted_minhash) sketch_window_.Save(out);
+  if (config_.weighted_minhash) window_.SaveSketches(out);
 
   std::vector<Edge> ec_edges;
   ec_edges.reserve(edge_ec_.size());
@@ -309,19 +307,19 @@ bool AkgBuilder::Restore(BinaryReader& in) {
     akg_.Clear();
     edge_ec_.clear();
     signatures_.clear();
-    sketch_window_.Clear();
+    window_.Clear();
     last_stats_ = AkgQuantumStats{};
     now_ = 0;
   };
   reset();
   now_ = in.I64();
-  if (!id_sets_.Restore(in) || !node_state_.Restore(in) ||
+  if (!window_.Restore(in) || !node_state_.Restore(in) ||
       !akg_.Restore(in)) {
     reset();
     return false;
   }
 
-  const std::size_t p = sketch_window_.hasher().p();
+  const std::size_t p = window_.hasher().p();
   const std::uint64_t signatures = in.U64();
   bool valid = in.CheckLength(signatures, 4 + 4 + 8);
   for (std::uint64_t i = 0; valid && i < signatures; ++i) {
@@ -373,17 +371,9 @@ bool AkgBuilder::Restore(BinaryReader& in) {
     }
   }
 
-  // The sketch ring: serialized in weighted mode, refolded from the id-set
-  // histories otherwise. Either way its depth must agree with the
-  // histories' — the two structures expire in lockstep.
-  if (valid) {
-    if (config_.weighted_minhash) {
-      valid = sketch_window_.Restore(in) &&
-              sketch_window_.depth() == id_sets_.HistoryDepth();
-    } else {
-      sketch_window_.RebuildFromHistory(id_sets_);
-    }
-  }
+  // Weighted per-quantum sketches ride here, checked run for run against
+  // the restored histories; unweighted ones were rebuilt from them.
+  if (valid && config_.weighted_minhash) valid = window_.RestoreSketches(in);
 
   const std::uint64_t correlations = valid ? in.U64() : 0;
   valid = valid && in.CheckLength(correlations, 4 + 4 + 8);

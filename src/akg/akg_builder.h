@@ -1,6 +1,8 @@
 // Per-quantum AKG construction (Section 3): consumes the message stream,
-// maintains the two-state node automaton, id sets and Min-Hash signatures,
-// and emits the node/edge delta that the cluster maintainer applies.
+// maintains the two-state node automaton and the keyword window (id sets
+// plus per-quantum Min-Hash sketches, one structure), caches window
+// signatures, and emits the node/edge delta that the cluster maintainer
+// applies.
 
 #ifndef SCPRT_AKG_AKG_BUILDER_H_
 #define SCPRT_AKG_AKG_BUILDER_H_
@@ -15,7 +17,6 @@
 #include "akg/minhash.h"
 #include "akg/node_state.h"
 #include "akg/quantum_aggregate.h"
-#include "akg/sketch_window.h"
 #include "common/binary_io.h"
 #include "common/parallel.h"
 #include "graph/graph.h"
@@ -108,7 +109,7 @@ class AkgBuilder {
   /// Node weight w_i for ranking: distinct users of the keyword in the
   /// window.
   std::size_t NodeWeight(KeywordId keyword) const {
-    return id_sets_.WindowSupport(keyword);
+    return window_.WindowSupport(keyword);
   }
 
   /// Exports a cluster-level user sketch: the Combine fold of the member
@@ -125,7 +126,8 @@ class AkgBuilder {
   /// Sketch size p of the exported sketches (config-derived).
   std::size_t sketch_size() const;
 
-  const UserIdSets& id_sets() const { return id_sets_; }
+  /// The keyword window: id sets and per-quantum sketches.
+  const UserIdSets& id_sets() const { return window_; }
   const NodeStateAutomaton& node_state() const { return node_state_; }
   const AkgQuantumStats& last_stats() const { return last_stats_; }
   const AkgConfig& config() const { return config_; }
@@ -148,11 +150,11 @@ class AkgBuilder {
   AkgConfig config_;
   ParallelForFn parallel_for_ = SerialFor;
   std::function<bool(KeywordId)> in_cluster_;
-  UserIdSets id_sets_;
+  // Id sets for EC and per-quantum sketches for screening: window
+  // signatures come from the sketches' Combine fold, never from rehashing
+  // the folded window id set.
+  UserIdSets window_;
   NodeStateAutomaton node_state_;
-  // Per-quantum sketch ring: window signatures come from its Combine fold,
-  // never from rehashing the folded window id set.
-  SketchWindow sketch_window_;
   graph::DynamicGraph akg_;
   std::unordered_map<graph::Edge, double, graph::EdgeHash> edge_ec_;
   std::unordered_map<KeywordId, KeywordSignature> signatures_;

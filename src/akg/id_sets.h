@@ -1,34 +1,45 @@
-// Per-keyword user-id sets over the sliding window (Section 3.2: "This set
-// U1 (called the id set) associated with a keyword n1 contains the ids of
-// all those users who used this word in the current window").
+// The keyword window: for every keyword seen in the last w quanta, its
+// user-id set (Section 3.2: "This set U1 (called the id set) associated
+// with a keyword n1 contains the ids of all those users who used this word
+// in the current window") and its Min-Hash sketch. Both are folds of the
+// same per-quantum (keyword, user) occurrences, so one structure keeps
+// them.
 //
 // Supports O(1) amortized ingestion, exact window expiry, per-quantum
-// distinct-user counts (the burstiness signal), and exact Jaccard between
-// two keywords' id sets (the edge correlation EC).
+// distinct-user counts (the burstiness signal), exact Jaccard between two
+// keywords' id sets (the edge correlation EC), and window sketches: the
+// Combine fold over the keyword's <= w per-quantum bottom-p sketches.
+// Because Combine is exact under truncation, the fold is bit-identical to
+// sketching the whole window union, at O(w * p) merge cost rather than
+// O(|window id set|) rehash cost.
 //
-// Internally the store is partitioned into a fixed number of keyword
-// shards (keyword % kIdSetShards). Shards never share state, so the
-// per-quantum fold + expiry runs shard-parallel through IngestAggregate's
-// hook while every query and the Begin/Add/End path stay unchanged. All
-// outputs are canonical (QuantumKeywords ascending, everything else
-// content-addressed), so results do not depend on the shard count or on
-// which thread folded which shard.
+// Layout (flat, slot-indexed): the store is partitioned into a fixed
+// number of keyword shards (keyword % kIdSetShards). Each shard maps its
+// keywords to dense slots (KeywordSlots, recycled when a keyword leaves
+// the window); a slot holds the keyword's window users in an
+// open-addressing user -> multiplicity table, its last-quantum support,
+// and the oldest and newest links of its sketch chain. The history is a
+// ring of w reused per-quantum buffers. A buffer holds one run per
+// occurring keyword: the keyword's slot, its distinct users and its
+// quantum sketch, linked to the same keyword's run one occurrence later.
+// Expiry walks the oldest buffer once: it takes each run's users back out
+// of its slot's table and advances or releases the chain.
 //
-// Layout (flat, slot-indexed): each shard maps its keywords to dense slots
-// (KeywordSlots, recycled when a keyword leaves the window); a slot holds
-// the keyword's window users in an open-addressing user -> multiplicity
-// table and its last-quantum support. The history is a fixed ring of w
-// per-quantum pair buffers that are reused, not reallocated. Slot growth
-// is shard-private, so the shard-parallel fold writes disjoint state.
+// Shards never share state, so the per-quantum fold + expiry runs
+// shard-parallel through IngestAggregate's hook. All outputs are canonical
+// (QuantumKeywords ascending, everything else content-addressed), so
+// results do not depend on the shard count or on which thread folded which
+// shard.
 
 #ifndef SCPRT_AKG_ID_SETS_H_
 #define SCPRT_AKG_ID_SETS_H_
 
-#include <functional>
-#include <utility>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "akg/flat_map.h"
+#include "akg/minhash.h"
 #include "akg/quantum_aggregate.h"
 #include "common/binary_io.h"
 #include "common/parallel.h"
@@ -36,32 +47,26 @@
 
 namespace scprt::akg {
 
-/// Maintains id sets for every keyword seen in the last `window_length`
-/// quanta. Usage per quantum: BeginQuantum(); Add(...)*; EndQuantum() — or
-/// one IngestAggregate call with the quantum's canonical aggregate.
+/// Maintains id sets and per-quantum sketches for every keyword seen in the
+/// last `window_length` quanta. One IngestAggregate call per quantum.
 class UserIdSets {
  public:
   /// Keyword shards per store. Fixed (not tied to the thread count) so the
   /// data layout is identical no matter who drives the ingestion.
   static constexpr std::size_t kIdSetShards = 16;
 
-  /// `window_length` is the paper's w, >= 1.
-  explicit UserIdSets(std::size_t window_length);
+  /// `window_length` is the paper's w (>= 1); `p`, `seed` and `weighted`
+  /// configure the sketcher.
+  UserIdSets(std::size_t window_length, std::size_t p, std::uint64_t seed,
+             bool weighted);
 
-  /// Opens a new quantum. Must alternate with EndQuantum.
-  void BeginQuantum();
+  /// The configured sketcher (p, seed, weighted flag).
+  const WeightedMinHasher& hasher() const { return hasher_; }
 
-  /// Records that `user` used `keyword` in the open quantum. Duplicate
-  /// (keyword, user) pairs within a quantum are collapsed.
-  void Add(KeywordId keyword, UserId user);
-
-  /// Closes the quantum, folds it into the window aggregate, and expires
-  /// the quantum that fell out of the window.
-  void EndQuantum();
-
-  /// Ingests one whole quantum from its canonical aggregate — exactly
-  /// equivalent to BeginQuantum + Add* + EndQuantum on the same content.
-  /// `parallel_for` (serial default when null) runs the independent
+  /// Ingests one whole quantum from its canonical aggregate (keywords
+  /// ascending, users ascending and distinct): folds users, sketches each
+  /// keyword's occurrences and expires the quantum falling out of the
+  /// window. `parallel_for` (serial default when null) runs the independent
   /// per-shard folds concurrently.
   void IngestAggregate(const QuantumAggregate& aggregate,
                        const ParallelForFn& parallel_for);
@@ -82,8 +87,8 @@ class UserIdSets {
   /// the window, in unspecified order. Allocates nothing.
   template <typename Visitor>
   void VisitWindowUsers(KeywordId keyword, Visitor&& visit) const {
-    if (const U32Index* users = WindowTable(keyword)) {
-      users->ForEach([&](UserId user, std::uint32_t) { visit(user); });
+    if (const KeywordState* state = Find(keyword)) {
+      state->users.ForEach([&](UserId user, std::uint32_t) { visit(user); });
     }
   }
 
@@ -91,35 +96,51 @@ class UserIdSets {
   /// (|U1 n U2| / |U1 u U2|). 0 when either set is empty.
   double Jaccard(KeywordId a, KeywordId b) const;
 
+  /// The keyword's window sketch: the Combine fold over its per-quantum
+  /// sketches, oldest first. Empty when the keyword did not occur in the
+  /// window. In unweighted mode its Values() equal MinHasher::Signature of
+  /// the window id set bit for bit.
+  WeightedSketch WindowSketch(KeywordId keyword) const;
+
   /// Number of keywords with non-empty window id sets.
   std::size_t active_keywords() const;
 
-  /// Closed quanta currently retained (<= window length). Every quantum
-  /// pushes one history entry into every shard, so the depth is uniform.
-  std::size_t HistoryDepth() const { return depth_; }
-
-  /// Visits every shard's retained history slot, oldest slot first:
-  /// visitor(shard, slot, pairs) where `pairs` is that quantum's distinct
-  /// (keyword, user) occurrences owned by the shard, grouped by keyword
-  /// (sorted whenever the ingested aggregates were canonical).
-  void VisitHistory(
-      const std::function<void(
-          std::size_t shard, std::size_t slot,
-          const std::vector<std::pair<KeywordId, UserId>>& pairs)>& visitor)
-      const;
+  /// Drops every retained quantum.
+  void Clear();
 
   /// Serializes the per-shard quantum histories (the minimal generating
-  /// state: window aggregates and last-quantum views are folds of it), in
-  /// canonical (keyword, user)-sorted order. Must be called between quanta.
+  /// state of the id sets: window aggregates and last-quantum views are
+  /// folds of it), in canonical (keyword, user)-sorted order. Must be
+  /// called between quanta.
   void Save(BinaryWriter& out) const;
 
   /// Replaces this store with Save()'s encoding, refolding the histories
-  /// into window aggregates. Returns false on malformed input (shard count
-  /// or history depth mismatch, overrun); the store is cleared then.
+  /// into window aggregates. Unweighted stores also rebuild their sketches
+  /// from the histories (unweighted scores are key-only); weighted sketches
+  /// depend on per-quantum message counts the histories do not record, so
+  /// they stay empty until RestoreSketches. Returns false on malformed
+  /// input (shard count or history depth mismatch, overrun); the store is
+  /// cleared then.
   bool Restore(BinaryReader& in);
 
+  /// Serializes the per-quantum sketches in canonical order (shards
+  /// ascending, quanta oldest first, keywords ascending, entries in sketch
+  /// order).
+  void SaveSketches(BinaryWriter& out) const;
+
+  /// Replaces the per-quantum sketches with SaveSketches()'s encoding, on a
+  /// store whose histories were just restored. Every sketch must belong to
+  /// the history run at the same ring position. Returns false on malformed
+  /// or mismatched input; the store is cleared then.
+  bool RestoreSketches(BinaryReader& in);
+
  private:
-  using Pairs = std::vector<std::pair<KeywordId, UserId>>;
+  /// A run's address: ring position and index within that position.
+  struct Ref {
+    std::uint32_t pos = kNoPos;
+    std::uint32_t index = 0;
+  };
+  static constexpr std::uint32_t kNoPos = KeywordSlots::kNone;
 
   /// One keyword's window state, at its slot.
   struct KeywordState {
@@ -127,6 +148,38 @@ class UserIdSets {
     U32Index users;
     // Distinct users in the most recent closed quantum (0 if absent).
     std::uint32_t last_support = 0;
+    // The keyword's oldest and newest runs.
+    Ref head;
+    Ref tail;
+  };
+
+  /// One keyword's occurrence in one quantum: `user_count` users, stored
+  /// after the previous runs' in its ring position, and the sketch
+  /// pool[sketch_begin, +sketch_size); linked to the keyword's next
+  /// (younger) run.
+  struct Run {
+    KeywordId keyword = 0;
+    std::uint32_t slot = 0;
+    Ref next;
+    std::uint32_t user_count = 0;
+    std::uint32_t sketch_begin = 0;
+    std::uint32_t sketch_size = 0;
+  };
+
+  /// One quantum's runs for one shard's keywords, keyword-ascending.
+  struct QuantumRuns {
+    std::vector<Run> runs;
+    std::vector<UserId> users;
+    std::vector<SketchEntry> pool;
+
+    std::span<const SketchEntry> Sketch(const Run& run) const {
+      return {pool.data() + run.sketch_begin, run.sketch_size};
+    }
+    void Clear() {
+      runs.clear();
+      users.clear();
+      pool.clear();
+    }
   };
 
   /// One keyword partition; a quantum touches every shard independently.
@@ -134,10 +187,8 @@ class UserIdSets {
     KeywordSlots slots;
     // Indexed by slot.
     std::vector<KeywordState> keywords;
-    // Ring of window_length per-quantum buffers of the quantum's distinct
-    // (keyword, user) pairs, grouped by keyword; position head_ is the
-    // oldest retained quantum.
-    std::vector<Pairs> history;
+    // window_length reused positions; position head_ is the oldest.
+    std::vector<QuantumRuns> ring;
     // Slots and ids of the most recent closed quantum's keywords, the ids
     // ascending.
     std::vector<std::uint32_t> last_slots;
@@ -148,35 +199,35 @@ class UserIdSets {
     return keyword % kIdSetShards;
   }
 
-  /// The keyword's window user table, or null when it is not in the window.
-  const U32Index* WindowTable(KeywordId keyword) const;
+  /// The keyword's window state, or null when it is not in the window.
+  const KeywordState* Find(KeywordId keyword) const;
 
   /// Ring position of the i-th oldest retained quantum.
   std::size_t RingPos(std::size_t i) const {
     return (head_ + i) % window_length_;
   }
 
-  /// Folds one keyword's quantum users (distinct) into `shard`: support,
-  /// keyword list, window multiplicities and the history buffer `pairs`.
-  /// The single definition of the fold invariant — both the live fold and
-  /// Restore go through it.
-  static void FoldKeyword(Shard& shard, KeywordId keyword,
-                          const std::vector<UserId>& users, Pairs& pairs);
+  /// Opens ring position `pos` of `shard` for a new quantum: clears the
+  /// last-quantum view and, when `expire`, takes the oldest quantum stored
+  /// there out of the window first.
+  static void BeginQuantum(Shard& shard, std::uint32_t pos, bool expire);
 
-  /// Takes one history buffer's pairs back out of the window aggregate and
-  /// releases the slots of keywords left with no users.
-  static void ExpirePairs(Shard& shard, const Pairs& pairs);
+  /// Folds one keyword's quantum users (distinct) and sketch into `shard`
+  /// at ring position `pos`: support, keyword list, window multiplicities,
+  /// the run and its chain link. The single definition of the fold
+  /// invariant — both the live fold and Restore go through it.
+  static void FoldRun(Shard& shard, std::uint32_t pos, KeywordId keyword,
+                      const std::vector<UserId>& users,
+                      std::span<const SketchEntry> sketch);
 
   /// Rebuilds the merged QuantumKeywords vector from the shards.
   void MergeQuantumKeywords();
 
   std::size_t window_length_;
-  bool quantum_open_ = false;
-  // The open quantum's (keyword, user) occurrences (Begin/Add/End path).
-  Pairs pending_;
+  WeightedMinHasher hasher_;
   std::vector<Shard> shards_;
-  // History ring cursor, uniform across shards: every quantum pushes one
-  // buffer into every shard.
+  // Ring cursor, uniform across shards: every quantum opens one position
+  // in every shard.
   std::size_t head_ = 0;
   std::size_t depth_ = 0;
   // IngestAggregate's routing buffer: per shard, its aggregate entries.

@@ -182,14 +182,6 @@ void WeightedMinHasher::CombineInto(std::span<const SketchEntry> a,
   }
 }
 
-WeightedSketch WeightedMinHasher::CombineTree(
-    const std::vector<WeightedSketch>& parts, std::size_t p) {
-  WeightedSketch acc;
-  WeightedSketch scratch;
-  for (const WeightedSketch& part : parts) FoldInto(acc, part, p, scratch);
-  return acc;
-}
-
 MinHashSignature WeightedMinHasher::Values(const WeightedSketch& sketch) {
   MinHashSignature values;
   values.reserve(sketch.size());

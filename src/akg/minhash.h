@@ -135,11 +135,6 @@ class WeightedMinHasher {
                           std::span<const SketchEntry> b, std::size_t p,
                           WeightedSketch& out);
 
-  /// Reduces `parts` with Combine. Any grouping gives the same result, so
-  /// this is a left fold through two buffers that are reused in place.
-  static WeightedSketch CombineTree(const std::vector<WeightedSketch>& parts,
-                                    std::size_t p);
-
   /// Folds `part` into `acc` in place: acc = Combine(acc, part). `scratch`
   /// is a buffer the fold may swap with `acc`.
   static void FoldInto(WeightedSketch& acc,

@@ -6,6 +6,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <unordered_set>
 
 #include <gtest/gtest.h>
@@ -16,7 +17,7 @@
 #include "akg/id_sets.h"
 #include "akg/minhash.h"
 #include "akg/node_state.h"
-#include "akg/sketch_window.h"
+#include "akg/quantum_aggregate.h"
 #include "common/hash.h"
 #include "common/parallel.h"
 #include "common/random.h"
@@ -84,31 +85,40 @@ TEST(KeywordSlotsTest, RecyclesSlotsAcrossSparseIds) {
 
 // --- UserIdSets ---
 
+// One quantum's (keyword, user) occurrences, duplicates allowed.
+using Occurrences = std::vector<std::pair<KeywordId, UserId>>;
+
+// An unweighted window of length `w` for the id-set tests.
+UserIdSets IdSets(std::size_t w) { return UserIdSets(w, 4, 7, false); }
+
+// Ingests one quantum built through the canonical aggregation path.
+void IngestQuantum(UserIdSets& sets, const Occurrences& occurrences) {
+  std::unordered_map<KeywordId, std::vector<UserId>> users_of;
+  for (const auto& [keyword, user] : occurrences) {
+    users_of[keyword].push_back(user);
+  }
+  sets.IngestAggregate(CanonicalAggregate(std::move(users_of), 0), nullptr);
+}
+
 TEST(UserIdSetsTest, QuantumSupportCountsDistinctUsers) {
-  UserIdSets sets(3);
-  sets.BeginQuantum();
-  sets.Add(1, 100);
-  sets.Add(1, 100);  // duplicate collapses
-  sets.Add(1, 101);
-  sets.Add(2, 100);
-  sets.EndQuantum();
+  UserIdSets sets = IdSets(3);
+  IngestQuantum(sets, {{1, 100},
+                       {1, 100},  // duplicate collapses
+                       {1, 101},
+                       {2, 100}});
   EXPECT_EQ(sets.QuantumSupport(1), 2u);
   EXPECT_EQ(sets.QuantumSupport(2), 1u);
   EXPECT_EQ(sets.QuantumSupport(3), 0u);
 }
 
 TEST(UserIdSetsTest, WindowAggregatesAcrossQuanta) {
-  UserIdSets sets(3);
+  UserIdSets sets = IdSets(3);
   for (int q = 0; q < 3; ++q) {
-    sets.BeginQuantum();
-    sets.Add(1, static_cast<UserId>(100 + q));
-    sets.EndQuantum();
+    IngestQuantum(sets, {{1, static_cast<UserId>(100 + q)}});
   }
   EXPECT_EQ(sets.WindowSupport(1), 3u);
   // Fourth quantum evicts the first.
-  sets.BeginQuantum();
-  sets.Add(1, 200);
-  sets.EndQuantum();
+  IngestQuantum(sets, {{1, 200}});
   EXPECT_EQ(sets.WindowSupport(1), 3u);  // {101, 102, 200}
   std::unordered_set<UserId> user_set;
   sets.VisitWindowUsers(1, [&](UserId u) { user_set.insert(u); });
@@ -117,42 +127,30 @@ TEST(UserIdSetsTest, WindowAggregatesAcrossQuanta) {
 }
 
 TEST(UserIdSetsTest, ExpiryRemovesKeywordEntirely) {
-  UserIdSets sets(2);
-  sets.BeginQuantum();
-  sets.Add(7, 1);
-  sets.EndQuantum();
+  UserIdSets sets = IdSets(2);
+  IngestQuantum(sets, {{7, 1}});
   EXPECT_EQ(sets.active_keywords(), 1u);
-  for (int q = 0; q < 2; ++q) {
-    sets.BeginQuantum();
-    sets.Add(8, 2);
-    sets.EndQuantum();
-  }
+  for (int q = 0; q < 2; ++q) IngestQuantum(sets, {{8, 2}});
   EXPECT_EQ(sets.WindowSupport(7), 0u);
   EXPECT_EQ(sets.active_keywords(), 1u);
 }
 
 TEST(UserIdSetsTest, UserInMultipleQuantaSurvivesPartialExpiry) {
-  UserIdSets sets(2);
-  for (int q = 0; q < 2; ++q) {
-    sets.BeginQuantum();
-    sets.Add(1, 42);
-    sets.EndQuantum();
-  }
+  UserIdSets sets = IdSets(2);
+  for (int q = 0; q < 2; ++q) IngestQuantum(sets, {{1, 42}});
   // User 42 appeared in both quanta; evicting the first keeps them.
-  sets.BeginQuantum();
-  sets.EndQuantum();
+  IngestQuantum(sets, {});
   EXPECT_EQ(sets.WindowSupport(1), 1u);
-  sets.BeginQuantum();
-  sets.EndQuantum();
+  IngestQuantum(sets, {});
   EXPECT_EQ(sets.WindowSupport(1), 0u);
 }
 
 TEST(UserIdSetsTest, ExactJaccard) {
-  UserIdSets sets(5);
-  sets.BeginQuantum();
-  for (UserId u : {1, 2, 3, 4}) sets.Add(10, u);
-  for (UserId u : {3, 4, 5, 6}) sets.Add(20, u);
-  sets.EndQuantum();
+  UserIdSets sets = IdSets(5);
+  Occurrences occurrences;
+  for (UserId u : {1, 2, 3, 4}) occurrences.emplace_back(10, u);
+  for (UserId u : {3, 4, 5, 6}) occurrences.emplace_back(20, u);
+  IngestQuantum(sets, occurrences);
   // |{3,4}| / |{1..6}| = 2/6.
   EXPECT_NEAR(sets.Jaccard(10, 20), 2.0 / 6.0, 1e-12);
   EXPECT_DOUBLE_EQ(sets.Jaccard(10, 99), 0.0);
@@ -495,14 +493,54 @@ TEST(AkgBuilderTest, StatsReflectSizes) {
   EXPECT_GE(stats.ckg_nodes, 4u);
 }
 
+// A weighted snapshot carries the per-quantum sketches in their own
+// section. One spliced in from another stream — here a builder that saw
+// keywords {1, 2} instead of {5, 6} — is well-formed on its own, but its
+// runs do not match the restored histories, so Restore must reject it.
+TEST(AkgBuilderTest, RestoreRejectsSketchesFromAnotherStream) {
+  AkgConfig config = TestConfig();
+  config.weighted_minhash = true;
+  const auto run = [&config](KeywordId a, KeywordId b, std::string* sketches) {
+    AkgBuilder builder(config, [](KeywordId) { return false; });
+    for (QuantumIndex q = 0; q < 3; ++q) {
+      builder.ProcessQuantum(MakeQuantum(q, {
+          {1, {a, b}}, {2, {a, b}}, {3, {a}}, {4, {b}},
+      }));
+    }
+    BinaryWriter ring;
+    builder.id_sets().SaveSketches(ring);
+    *sketches = ring.data();
+    BinaryWriter out;
+    builder.Save(out);
+    return out.data();
+  };
+  std::string donor_ring, ring;
+  run(1, 2, &donor_ring);
+  std::string bytes = run(5, 6, &ring);
+  const std::size_t at = bytes.find(ring);
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(donor_ring.size(), ring.size());
+  {
+    AkgBuilder intact(config, [](KeywordId) { return false; });
+    BinaryReader in(bytes);
+    ASSERT_TRUE(intact.Restore(in));
+  }
+  bytes.replace(at, ring.size(), donor_ring);
+  AkgBuilder forged(config, [](KeywordId) { return false; });
+  BinaryReader in(bytes);
+  EXPECT_FALSE(forged.Restore(in));
+  EXPECT_EQ(forged.id_sets().active_keywords(), 0u);
+}
+
 // --- Differential check of the flat window state against a map model ---
 //
 // The reference model below keeps the textbook layout: per-keyword
 // user -> count maps over a deque of per-quantum pair lists, stamp maps
 // pruned by a full sweep every quantum, and per-quantum sketch maps reduced
-// by a pairwise tree. Driven alongside UserIdSets, NodeStateAutomaton and
-// SketchWindow over seeded random streams, every query must agree every
-// quantum and every encoding must match the model's byte for byte.
+// by a pairwise tree. Driven alongside the keyword window (UserIdSets:
+// id sets and sketches in one structure) and NodeStateAutomaton over
+// seeded random streams, every query must agree every quantum and every
+// encoding must match the model's byte for byte.
 
 constexpr std::size_t kRefShards = UserIdSets::kIdSetShards;
 
@@ -804,34 +842,31 @@ class AkgWindowDiffTest : public ::testing::TestWithParam<DiffParams> {};
 // The flat structures under test, one full set.
 struct FlatState {
   FlatState(const DiffParams& params, std::uint32_t theta)
-      : ids(params.w),
-        nodes(theta, params.w),
-        sketches(params.w, 3, 0x5ca1ab1eULL, params.weighted) {}
-  UserIdSets ids;
+      : window(params.w, 3, 0x5ca1ab1eULL, params.weighted),
+        nodes(theta, params.w) {}
+  UserIdSets window;
   NodeStateAutomaton nodes;
-  SketchWindow sketches;
 
   std::string SaveAll() const {
     BinaryWriter out;
-    ids.Save(out);
+    window.Save(out);
     nodes.Save(out);
-    sketches.Save(out);
+    window.SaveSketches(out);
     return out.data();
   }
 
   bool RestoreAll(const std::string& bytes) {
     BinaryReader in(bytes);
-    return ids.Restore(in) && nodes.Restore(in) && sketches.Restore(in) &&
-           in.ok() && in.remaining() == 0;
+    return window.Restore(in) && nodes.Restore(in) &&
+           window.RestoreSketches(in) && in.ok() && in.remaining() == 0;
   }
 
   NodeStateUpdate Ingest(const QuantumAggregate& aggregate) {
-    ids.IngestAggregate(aggregate, nullptr);
-    sketches.Ingest(aggregate, nullptr);
+    window.IngestAggregate(aggregate, nullptr);
     std::vector<std::pair<KeywordId, std::uint32_t>> counts;
-    for (KeywordId k : ids.QuantumKeywords()) {
-      counts.emplace_back(k,
-                          static_cast<std::uint32_t>(ids.QuantumSupport(k)));
+    for (KeywordId k : window.QuantumKeywords()) {
+      counts.emplace_back(
+          k, static_cast<std::uint32_t>(window.QuantumSupport(k)));
     }
     const QuantumIndex now = aggregate.index;
     return nodes.ProcessQuantum(
@@ -857,7 +892,7 @@ TEST_P(AkgWindowDiffTest, FlatStateMatchesReferenceModel) {
   std::unique_ptr<FlatState> restored;
   RefIdSets ref_ids(params.w);
   RefNodeState ref_nodes(kTheta, params.w);
-  RefSketchWindow ref_sketches(params.w, flat.sketches.hasher());
+  RefSketchWindow ref_sketches(params.w, flat.window.hasher());
 
   QuantumIndex now = params.first_quantum;
   for (int step = 0; step < params.quanta; ++step) {
@@ -878,35 +913,35 @@ TEST_P(AkgWindowDiffTest, FlatStateMatchesReferenceModel) {
     const NodeStateUpdate want = ref_nodes.ProcessQuantum(
         now, counts, [now](KeywordId k) { return PseudoInCluster(k, now); });
 
-    ASSERT_EQ(flat.ids.QuantumKeywords(), ref_ids.QuantumKeywords())
+    ASSERT_EQ(flat.window.QuantumKeywords(), ref_ids.QuantumKeywords())
         << "quantum " << now;
     ExpectSameUpdate(update, want, now);
     ASSERT_EQ(flat.nodes.tracked_keywords(), ref_nodes.tracked_keywords())
         << "quantum " << now;
     ASSERT_EQ(flat.nodes.akg_size(), ref_nodes.akg_size());
-    ASSERT_EQ(flat.ids.active_keywords(), ref_ids.active_keywords());
+    ASSERT_EQ(flat.window.active_keywords(), ref_ids.active_keywords());
     for (std::size_t i = 0; i < keywords.size(); ++i) {
       const KeywordId a = keywords[i];
-      ASSERT_EQ(flat.ids.QuantumSupport(a), ref_ids.QuantumSupport(a));
-      ASSERT_EQ(flat.ids.WindowSupport(a), ref_ids.WindowSupport(a));
+      ASSERT_EQ(flat.window.QuantumSupport(a), ref_ids.QuantumSupport(a));
+      ASSERT_EQ(flat.window.WindowSupport(a), ref_ids.WindowSupport(a));
       std::set<UserId> users;
-      flat.ids.VisitWindowUsers(a, [&](UserId u) {
+      flat.window.VisitWindowUsers(a, [&](UserId u) {
         EXPECT_TRUE(users.insert(u).second) << "user visited twice";
       });
       ASSERT_EQ(users.size(), ref_ids.WindowSupport(a));
-      ASSERT_EQ(flat.sketches.WindowSketch(a), ref_sketches.WindowSketch(a))
+      ASSERT_EQ(flat.window.WindowSketch(a), ref_sketches.WindowSketch(a))
           << "keyword " << a << " quantum " << now;
       for (std::size_t j = i; j < keywords.size(); j += 3) {
-        ASSERT_EQ(flat.ids.Jaccard(a, keywords[j]),
+        ASSERT_EQ(flat.window.Jaccard(a, keywords[j]),
                   ref_ids.Jaccard(a, keywords[j]))
             << a << " vs " << keywords[j] << " quantum " << now;
       }
     }
     {
       BinaryWriter ids, nodes, sketches;
-      flat.ids.Save(ids);
+      flat.window.Save(ids);
       flat.nodes.Save(nodes);
-      flat.sketches.Save(sketches);
+      flat.window.SaveSketches(sketches);
       ASSERT_EQ(ids.data(), ref_ids.Encode()) << "quantum " << now;
       ASSERT_EQ(nodes.data(), ref_nodes.Encode()) << "quantum " << now;
       ASSERT_EQ(sketches.data(), ref_sketches.Encode()) << "quantum " << now;
@@ -923,12 +958,15 @@ TEST_P(AkgWindowDiffTest, FlatStateMatchesReferenceModel) {
       ASSERT_TRUE(restored->RestoreAll(flat.SaveAll()));
       ASSERT_EQ(restored->SaveAll(), flat.SaveAll());
       if (!params.weighted) {
-        // Unweighted rings also rebuild from the id-set histories alone.
-        SketchWindow rebuilt(params.w, 3, 0x5ca1ab1eULL, false);
-        rebuilt.RebuildFromHistory(restored->ids);
+        // Unweighted sketches also rebuild from the id-set histories alone.
+        BinaryWriter histories;
+        flat.window.Save(histories);
+        UserIdSets rebuilt(params.w, 3, 0x5ca1ab1eULL, false);
+        BinaryReader in(histories.data());
+        ASSERT_TRUE(rebuilt.Restore(in));
         BinaryWriter a, b;
-        rebuilt.Save(a);
-        flat.sketches.Save(b);
+        rebuilt.SaveSketches(a);
+        flat.window.SaveSketches(b);
         ASSERT_EQ(a.data(), b.data());
       }
     }
@@ -941,7 +979,10 @@ INSTANTIATE_TEST_SUITE_P(
                       DiffParams{30, 12, 0, true, false, 160},
                       DiffParams{30, 13, 5, false, true, 160},
                       DiffParams{4, 14, -9, true, true, 200},
-                      DiffParams{7, 15, 1000, true, false, 200}));
+                      DiffParams{7, 15, 1000, true, false, 200},
+                      DiffParams{1, 16, 3, false, true, 160},
+                      DiffParams{4, 17, 0, false, false, 200},
+                      DiffParams{7, 18, -2, true, true, 200}));
 
 // Forged or out-of-order stamps: a restored automaton whose last-seen
 // stamps lie ahead of the quanta that follow still prunes exactly like the
@@ -982,9 +1023,9 @@ TEST(NodeStateTest, RestoreRejectsBurstyStampWithoutLastSeen) {
   EXPECT_EQ(automaton.tracked_keywords(), 0u);
 }
 
-// The shard-parallel fold: UserIdSets, SketchWindow and the whole
-// AkgBuilder folded through a real 4-thread ShardPool equal the serial
-// fold, query for query and byte for byte.
+// The shard-parallel fold: the keyword window and the whole AkgBuilder
+// folded through a real 4-thread ShardPool equal the serial fold, query
+// for query and byte for byte.
 TEST(AkgParallelFoldTest, ShardPoolFoldEqualsSerialFold) {
   engine::ShardPool pool(4);
   const ParallelForFn pooled =
@@ -995,9 +1036,8 @@ TEST(AkgParallelFoldTest, ShardPoolFoldEqualsSerialFold) {
   for (KeywordId k = 100; k < 180; ++k) keywords.push_back(k);
 
   for (bool weighted : {false, true}) {
-    UserIdSets serial_ids(6), pooled_ids(6);
-    SketchWindow serial_sketches(6, 4, 7, weighted);
-    SketchWindow pooled_sketches(6, 4, 7, weighted);
+    UserIdSets serial_window(6, 4, 7, weighted);
+    UserIdSets pooled_window(6, 4, 7, weighted);
     AkgConfig config;
     config.window_length = 6;
     config.high_state_threshold = 3;
@@ -1009,24 +1049,24 @@ TEST(AkgParallelFoldTest, ShardPoolFoldEqualsSerialFold) {
     Rng rng(weighted ? 21 : 22);
     for (QuantumIndex q = 0; q < 40; ++q) {
       const QuantumAggregate aggregate = RandomAggregate(rng, q, keywords);
-      serial_ids.IngestAggregate(aggregate, nullptr);
-      pooled_ids.IngestAggregate(aggregate, pooled);
-      serial_sketches.Ingest(aggregate, nullptr);
-      pooled_sketches.Ingest(aggregate, pooled);
+      serial_window.IngestAggregate(aggregate, nullptr);
+      pooled_window.IngestAggregate(aggregate, pooled);
       serial_builder.ProcessAggregate(aggregate);
       pooled_builder.ProcessAggregate(aggregate);
 
-      ASSERT_EQ(pooled_ids.QuantumKeywords(), serial_ids.QuantumKeywords());
+      ASSERT_EQ(pooled_window.QuantumKeywords(),
+                serial_window.QuantumKeywords());
       for (KeywordId k : keywords) {
-        ASSERT_EQ(pooled_ids.WindowSupport(k), serial_ids.WindowSupport(k));
-        ASSERT_EQ(pooled_sketches.WindowSketch(k),
-                  serial_sketches.WindowSketch(k));
+        ASSERT_EQ(pooled_window.WindowSupport(k),
+                  serial_window.WindowSupport(k));
+        ASSERT_EQ(pooled_window.WindowSketch(k),
+                  serial_window.WindowSketch(k));
       }
       BinaryWriter a, b, c, d, e, f;
-      serial_ids.Save(a);
-      pooled_ids.Save(b);
-      serial_sketches.Save(c);
-      pooled_sketches.Save(d);
+      serial_window.Save(a);
+      pooled_window.Save(b);
+      serial_window.SaveSketches(c);
+      pooled_window.SaveSketches(d);
       serial_builder.Save(e);
       pooled_builder.Save(f);
       ASSERT_EQ(a.data(), b.data()) << "quantum " << q;

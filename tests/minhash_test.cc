@@ -32,6 +32,17 @@ std::vector<UserId> RandomUsers(Rng& rng, std::size_t count) {
   return users;
 }
 
+// Left fold of `parts` through FoldInto, the way window sketches fold.
+WeightedSketch FoldAll(const std::vector<WeightedSketch>& parts,
+                       std::size_t p) {
+  WeightedSketch acc;
+  WeightedSketch scratch;
+  for (const WeightedSketch& part : parts) {
+    WeightedMinHasher::FoldInto(acc, part, p, scratch);
+  }
+  return acc;
+}
+
 std::vector<std::uint32_t> RandomCounts(Rng& rng, std::size_t count) {
   std::vector<std::uint32_t> counts(count);
   for (auto& c : counts) {
@@ -81,22 +92,22 @@ TEST(WeightedMinHashTest, CombineAlgebra) {
   }
 }
 
-TEST(WeightedMinHashTest, CombineTreeShapes) {
+TEST(WeightedMinHashTest, FoldIntoShapes) {
   WeightedMinHasher hasher(3, 7, /*weighted=*/false);
   const WeightedSketch one = hasher.QuantumSketch(0, {1, 2, 3, 4, 5}, {});
-  EXPECT_TRUE(WeightedMinHasher::CombineTree({}, 3).empty());
-  EXPECT_EQ(WeightedMinHasher::CombineTree({one}, 3), one);
-  // Odd part counts exercise the carried trailing item.
+  EXPECT_TRUE(FoldAll({}, 3).empty());
+  EXPECT_EQ(FoldAll({one}, 3), one);
+  // Later parts merge into a full accumulator.
   const WeightedSketch two = hasher.QuantumSketch(0, {6, 7}, {});
   const WeightedSketch three = hasher.QuantumSketch(0, {8}, {});
   const WeightedSketch whole =
       hasher.QuantumSketch(0, {1, 2, 3, 4, 5, 6, 7, 8}, {});
-  EXPECT_EQ(WeightedMinHasher::CombineTree({one, two, three}, 3), whole);
+  EXPECT_EQ(FoldAll({one, two, three}, 3), whole);
 }
 
 // The tentpole property: a keyword's occurrences split across shards (each
 // user's full per-quantum occurrence in exactly one part), sketched per
-// part and tree-reduced, must equal the whole-set sketch bit for bit — for
+// part and folded, must equal the whole-set sketch bit for bit — for
 // any partition count and any part order.
 TEST(WeightedMinHashTest, ShardMergeEqualsWholeSetSketch) {
   Rng rng(33);
@@ -121,12 +132,11 @@ TEST(WeightedMinHashTest, ShardMergeEqualsWholeSetSketch) {
           parts.push_back(
               hasher.QuantumSketch(5, part_users[s], part_counts[s]));
         }
-        EXPECT_EQ(WeightedMinHasher::CombineTree(parts, p), whole);
+        EXPECT_EQ(FoldAll(parts, p), whole);
         std::reverse(parts.begin(), parts.end());
-        EXPECT_EQ(WeightedMinHasher::CombineTree(parts, p), whole);
+        EXPECT_EQ(FoldAll(parts, p), whole);
         rng.Shuffle(parts);
-        EXPECT_EQ(WeightedMinHasher::CombineTree(std::move(parts), p),
-                  whole);
+        EXPECT_EQ(FoldAll(parts, p), whole);
       }
     }
   }
