@@ -2,7 +2,6 @@
 // mutation, short-cycle queries, incremental cluster maintenance vs offline
 // recomputation, Min-Hash signatures and exact Jaccard.
 
-#include <unordered_map>
 #include <vector>
 
 #include <benchmark/benchmark.h>
@@ -106,13 +105,16 @@ BENCHMARK(BM_MinHashSignature)->Arg(16)->Arg(128)->Arg(1024);
 void BM_ExactJaccard(benchmark::State& state) {
   akg::UserIdSets sets(30, 8, 42, /*weighted=*/false);
   Rng rng(7);
-  std::unordered_map<KeywordId, std::vector<UserId>> users_of;
+  stream::Quantum quantum;
   for (int i = 0; i < state.range(0); ++i) {
-    users_of[1].push_back(static_cast<UserId>(rng.UniformInt(100000)));
-    users_of[2].push_back(static_cast<UserId>(rng.UniformInt(100000)));
+    for (KeywordId keyword : {1u, 2u}) {
+      stream::Message m;
+      m.user = static_cast<UserId>(rng.UniformInt(100000));
+      m.keywords = {keyword};
+      quantum.messages.push_back(std::move(m));
+    }
   }
-  sets.IngestAggregate(akg::CanonicalAggregate(std::move(users_of), 0),
-                       nullptr);
+  sets.IngestAggregate(akg::AggregateQuantum(quantum), nullptr);
   for (auto _ : state) {
     benchmark::DoNotOptimize(sets.Jaccard(1, 2));
   }

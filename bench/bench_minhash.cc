@@ -80,7 +80,7 @@ int main(int argc, char** argv) {
   std::size_t entries = 0;
   for (const scprt::stream::Quantum& quantum : quanta) {
     aggregates.push_back(scprt::akg::AggregateQuantum(quantum));
-    entries += aggregates.back().keywords.size();
+    entries += aggregates.back().size();
   }
   std::printf("%zu quanta, %zu aggregate entries\n", quanta.size(), entries);
 
@@ -96,10 +96,9 @@ int main(int argc, char** argv) {
     std::size_t built = 0;
     for (int round = 0; round < kRounds; ++round) {
       for (const scprt::akg::QuantumAggregate& aggregate : aggregates) {
-        for (const scprt::akg::QuantumAggregate::Entry& entry :
-             aggregate.keywords) {
+        for (std::size_t i = 0; i < aggregate.size(); ++i) {
           const WeightedSketch sketch = hasher.QuantumSketch(
-              aggregate.index, entry.users, entry.counts);
+              aggregate.index, aggregate.UsersOf(i), aggregate.CountsOf(i));
           built += sketch.size();  // defeat dead-code elimination
         }
       }
@@ -115,13 +114,12 @@ int main(int argc, char** argv) {
   const WeightedMinHasher hasher(kP, 0x5ca1ab1eULL, /*weighted=*/true);
   std::unordered_map<scprt::KeywordId, KeywordRing> rings;
   for (const scprt::akg::QuantumAggregate& aggregate : aggregates) {
-    for (const scprt::akg::QuantumAggregate::Entry& entry :
-         aggregate.keywords) {
-      KeywordRing& ring = rings[entry.keyword];
-      ring.keyword = entry.keyword;
+    for (std::size_t i = 0; i < aggregate.size(); ++i) {
+      KeywordRing& ring = rings[aggregate.keywords[i]];
+      ring.keyword = aggregate.keywords[i];
       if (ring.quanta.size() < kWindow) {
-        ring.quanta.push_back(hasher.QuantumSketch(aggregate.index,
-                                                   entry.users, entry.counts));
+        ring.quanta.push_back(hasher.QuantumSketch(
+            aggregate.index, aggregate.UsersOf(i), aggregate.CountsOf(i)));
       }
     }
   }

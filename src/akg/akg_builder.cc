@@ -308,6 +308,7 @@ bool AkgBuilder::Restore(BinaryReader& in) {
     edge_ec_.clear();
     signatures_.clear();
     window_.Clear();
+    node_state_.Clear();
     last_stats_ = AkgQuantumStats{};
     now_ = 0;
   };

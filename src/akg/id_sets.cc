@@ -54,7 +54,7 @@ void UserIdSets::BeginQuantum(Shard& shard, std::uint32_t pos, bool expire) {
 }
 
 void UserIdSets::FoldRun(Shard& shard, std::uint32_t pos, KeywordId keyword,
-                         const std::vector<UserId>& users,
+                         std::span<const UserId> users,
                          std::span<const SketchEntry> sketch) {
   QuantumRuns& quantum = shard.ring[pos];
   SCPRT_DCHECK(quantum.runs.empty() || quantum.runs.back().keyword < keyword);
@@ -101,8 +101,8 @@ void UserIdSets::IngestAggregate(const QuantumAggregate& aggregate,
   // instead of re-scanning the whole aggregate; the aggregate is
   // keyword-ascending, so each shard's entries stay keyword-ascending too.
   for (auto& owned : owned_) owned.clear();
-  for (std::uint32_t i = 0; i < aggregate.keywords.size(); ++i) {
-    owned_[ShardOf(aggregate.keywords[i].keyword)].push_back(i);
+  for (std::uint32_t i = 0; i < aggregate.size(); ++i) {
+    owned_[ShardOf(aggregate.keywords[i])].push_back(i);
   }
   // The new quantum takes the ring position of the oldest one when the
   // window is full (that quantum expires first), the next free one
@@ -117,7 +117,7 @@ void UserIdSets::IngestAggregate(const QuantumAggregate& aggregate,
     std::size_t users = 0;
     std::size_t pooled = 0;
     for (std::uint32_t i : owned_[s]) {
-      const std::size_t n = aggregate.keywords[i].users.size();
+      const std::size_t n = aggregate.UsersOf(i).size();
       users += n;
       pooled += std::min(hasher_.p(), n);
     }
@@ -125,12 +125,13 @@ void UserIdSets::IngestAggregate(const QuantumAggregate& aggregate,
     quantum.runs.reserve(owned_[s].size());
     quantum.users.reserve(users);
     quantum.pool.reserve(pooled);
-    WeightedSketch sketch;
+    // Per-thread sketch buffer: shards fold through the parallel hook.
+    thread_local WeightedSketch sketch;
     for (std::uint32_t i : owned_[s]) {
-      const QuantumAggregate::Entry& entry = aggregate.keywords[i];
-      hasher_.QuantumSketchInto(aggregate.index, entry.users, entry.counts,
+      const std::span<const UserId> users = aggregate.UsersOf(i);
+      hasher_.QuantumSketchInto(aggregate.index, users, aggregate.CountsOf(i),
                                 sketch);
-      FoldRun(shard, pos, entry.keyword, entry.users, sketch);
+      FoldRun(shard, pos, aggregate.keywords[i], users, sketch);
     }
   };
   if (parallel_for) {

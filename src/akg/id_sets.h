@@ -217,7 +217,7 @@ class UserIdSets {
   /// the run and its chain link. The single definition of the fold
   /// invariant — both the live fold and Restore go through it.
   static void FoldRun(Shard& shard, std::uint32_t pos, KeywordId keyword,
-                      const std::vector<UserId>& users,
+                      std::span<const UserId> users,
                       std::span<const SketchEntry> sketch);
 
   /// Rebuilds the merged QuantumKeywords vector from the shards.

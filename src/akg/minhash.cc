@@ -114,16 +114,16 @@ WeightedMinHasher::WeightedMinHasher(std::size_t p, std::uint64_t seed,
 }
 
 WeightedSketch WeightedMinHasher::QuantumSketch(
-    QuantumIndex quantum, const std::vector<UserId>& users,
-    const std::vector<std::uint32_t>& counts) const {
+    QuantumIndex quantum, std::span<const UserId> users,
+    std::span<const std::uint32_t> counts) const {
   WeightedSketch sketch;
   QuantumSketchInto(quantum, users, counts, sketch);
   return sketch;
 }
 
 void WeightedMinHasher::QuantumSketchInto(
-    QuantumIndex quantum, const std::vector<UserId>& users,
-    const std::vector<std::uint32_t>& counts, WeightedSketch& sketch) const {
+    QuantumIndex quantum, std::span<const UserId> users,
+    std::span<const std::uint32_t> counts, WeightedSketch& sketch) const {
   SCPRT_DCHECK(!weighted_ || counts.size() == users.size());
   sketch.clear();
   sketch.reserve(std::min(p_, users.size()));

@@ -21,10 +21,10 @@
 // Combine is exact under truncation (a merged sketch equals the sketch of
 // the merged input, by the usual KMV argument), hence associative and
 // commutative — so per-shard, per-quantum sketches reduce in any grouping
-// (a left fold in place, or a common/parallel.h TreeReduce) with
-// bit-identical results. The only precondition is that one (user, quantum)
-// occurrence is never split across the parts being merged; keyword-sharded
-// aggregation satisfies it by construction.
+// (a left fold in place, or a pairwise tree) with bit-identical results.
+// The only precondition is that one (user, quantum) occurrence is never
+// split across the parts being merged; keyword-sharded aggregation
+// satisfies it by construction.
 
 #ifndef SCPRT_AKG_MINHASH_H_
 #define SCPRT_AKG_MINHASH_H_
@@ -113,13 +113,12 @@ class WeightedMinHasher {
   /// `users`, carries each user's message count and is only read in
   /// weighted mode (may be empty otherwise).
   WeightedSketch QuantumSketch(QuantumIndex quantum,
-                               const std::vector<UserId>& users,
-                               const std::vector<std::uint32_t>& counts) const;
+                               std::span<const UserId> users,
+                               std::span<const std::uint32_t> counts) const;
 
   /// QuantumSketch into `out` (its buffer is reused).
-  void QuantumSketchInto(QuantumIndex quantum,
-                         const std::vector<UserId>& users,
-                         const std::vector<std::uint32_t>& counts,
+  void QuantumSketchInto(QuantumIndex quantum, std::span<const UserId> users,
+                         std::span<const std::uint32_t> counts,
                          WeightedSketch& out) const;
 
   /// Merges two sketches: minimum score per key, bottom-p overall. Exact

@@ -84,6 +84,9 @@ class NodeStateAutomaton {
   /// last-seen stamp); the automaton is cleared then.
   bool Restore(BinaryReader& in);
 
+  /// Drops every tracked keyword.
+  void Clear();
+
  private:
   /// One tracked keyword, at its slot. A keyword is tracked exactly while
   /// it carries a last-seen stamp.
@@ -119,8 +122,6 @@ class NodeStateAutomaton {
   /// an AKG member once the eviction sweep ran), draining each bucket the
   /// horizon passed since the last drain.
   void DrainWheel(QuantumIndex horizon);
-
-  void Clear();
 
   std::uint32_t high_threshold_;
   std::size_t window_length_;

@@ -1,16 +1,23 @@
 // Canonical per-quantum ingest form: every keyword that occurred in the
 // quantum with its distinct users and their message counts, keywords
-// ascending, each user list sorted ascending. Aggregates built from the
-// same quantum compare equal no matter how they were produced — serially
-// (AggregateQuantum) or merged from keyword shards
-// (engine/parallel_detector.cc) — which is what makes the parallel
-// engine's reports bit-identical to the serial detector's.
+// ascending, each user list sorted ascending. One builder produces it for
+// the serial detector and the sharded engine alike, which is what makes
+// the engine's reports bit-identical to the serial detector's.
+//
+// Layout (CSR): four flat arrays instead of one vector per keyword.
+// Keyword i's users and counts are users[offsets[i], offsets[i + 1]) and
+// counts[offsets[i], offsets[i + 1]). The builder packs every (keyword,
+// user) occurrence into one 64-bit key (keyword in the high half), radix
+// sorts the keys — ascending keys are already the canonical order — and
+// run-length encodes them: a run of equal keys is one distinct user, its
+// length that user's message count. A reused aggregate keeps its buffers,
+// so steady-state builds allocate nothing.
 
 #ifndef SCPRT_AKG_QUANTUM_AGGREGATE_H_
 #define SCPRT_AKG_QUANTUM_AGGREGATE_H_
 
 #include <cstdint>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "common/types.h"
@@ -19,36 +26,42 @@
 namespace scprt::akg {
 
 /// One quantum reduced to per-keyword occurrence lists in canonical order.
+/// The counts are a pure function of the quantum's (keyword, user)
+/// occurrence multiset.
 struct QuantumAggregate {
-  /// One keyword's quantum occurrences: `users` sorted ascending and
-  /// distinct; `counts[i]` is the number of messages by `users[i]`
-  /// mentioning the keyword this quantum (>= 1). The counts are a pure
-  /// function of the quantum's (keyword, user) occurrence multiset, so
-  /// every build path produces identical values.
-  struct Entry {
-    KeywordId keyword = 0;
-    std::vector<UserId> users;
-    std::vector<std::uint32_t> counts;
-    friend bool operator==(const Entry&, const Entry&) = default;
-  };
-
   QuantumIndex index = 0;
-  /// Sorted by keyword.
-  std::vector<Entry> keywords;
+  /// Ascending and distinct.
+  std::vector<KeywordId> keywords;
+  /// keywords.size() + 1 entries, starting at 0.
+  std::vector<std::uint32_t> offsets = {0};
+  /// Per keyword: ascending and distinct.
+  std::vector<UserId> users;
+  /// Aligned with `users`: messages by that user mentioning that keyword
+  /// this quantum (>= 1).
+  std::vector<std::uint32_t> counts;
+
+  /// Number of keywords.
+  std::size_t size() const { return keywords.size(); }
+
+  /// Keyword i's distinct users, ascending.
+  std::span<const UserId> UsersOf(std::size_t i) const {
+    return {users.data() + offsets[i], offsets[i + 1] - offsets[i]};
+  }
+
+  /// Keyword i's per-user message counts, aligned with UsersOf(i).
+  std::span<const std::uint32_t> CountsOf(std::size_t i) const {
+    return {counts.data() + offsets[i], offsets[i + 1] - offsets[i]};
+  }
+
+  friend bool operator==(const QuantumAggregate&,
+                         const QuantumAggregate&) = default;
 };
 
-/// Canonicalizes a raw keyword -> users gather (user lists carry one entry
-/// per occurrence — duplicates become counts — in any order) into an
-/// aggregate. The single definition of the canonical form —
-/// AggregateQuantum and the engine's sharded reduce both end here, which
-/// is what keeps their outputs comparable.
-QuantumAggregate CanonicalAggregate(
-    std::unordered_map<KeywordId, std::vector<UserId>>&& users_of,
-    QuantumIndex index);
+/// Reduces one quantum into `out`, replacing its content and reusing its
+/// buffers.
+void AggregateQuantum(const stream::Quantum& quantum, QuantumAggregate& out);
 
-/// Reduces one quantum serially. The parallel engine produces the same
-/// value by routing (keyword, user) pairs to keyword shards and reducing
-/// each shard through CanonicalAggregate.
+/// The same, into a fresh aggregate.
 QuantumAggregate AggregateQuantum(const stream::Quantum& quantum);
 
 }  // namespace scprt::akg

@@ -36,8 +36,8 @@ void EventDetector::set_parallel_for(ParallelForFn parallel_for) {
 }
 
 QuantumReport EventDetector::ProcessQuantum(const stream::Quantum& quantum) {
-  return ProcessQuantumWithAggregate(quantum,
-                                     akg::AggregateQuantum(quantum));
+  akg::AggregateQuantum(quantum, aggregate_);
+  return ProcessQuantumWithAggregate(quantum, aggregate_);
 }
 
 QuantumReport EventDetector::ProcessQuantumWithAggregate(

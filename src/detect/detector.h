@@ -43,7 +43,7 @@ class EventDetector {
   QuantumReport ProcessQuantum(const stream::Quantum& quantum);
 
   /// Same, but with the quantum's canonical aggregate supplied by the
-  /// caller (the parallel engine builds it on keyword shards). `aggregate`
+  /// caller (the sharded engine builds and times it itself). `aggregate`
   /// must equal akg::AggregateQuantum(quantum); the report is then
   /// identical to ProcessQuantum(quantum).
   QuantumReport ProcessQuantumWithAggregate(
@@ -127,6 +127,8 @@ class EventDetector {
   const text::KeywordDictionary* dictionary_;
   cluster::ScpMaintainer maintainer_;
   akg::AkgBuilder akg_;
+  // ProcessQuantum's aggregate, rebuilt in place every quantum.
+  akg::QuantumAggregate aggregate_;
   stream::Quantizer quantizer_;
   rank::RankTracker tracker_;
   std::unordered_set<ClusterId> reported_;

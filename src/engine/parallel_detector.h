@@ -1,23 +1,22 @@
 // Sharded multi-threaded front end over the single-threaded EventDetector.
 //
-// Work is partitioned by keyword: shard s of S owns every keyword k with
-// k % S == s. Each quantum flows through four stages:
+// A pool of S workers runs the detector's pure per-item hot loops. Each
+// quantum flows through three stages:
 //
-//   1. aggregate   (parallel)  — workers scan disjoint message slices and
-//                                route (keyword, user) pairs to their
-//                                owning shards (fed through the pool's
-//                                per-shard SPSC queues), then each shard
-//                                reduces its keywords to (keyword,
-//                                distinct users);
-//   2. merge       (parallel)  — shard outputs tree-reduce (pairwise
-//                                sorted merges, common/parallel.h) into
-//                                the canonical QuantumAggregate;
-//   3. graph + SCP (serial core, parallel hot loops) — the AKG builder
-//                                batches Min-Hash signature refreshes and
-//                                edge-correlation computations through the
-//                                pool, then the single-writer ScpMaintainer
-//                                applies the structural delta;
-//   4. snapshot    (parallel)  — per-cluster report cores compute on the
+//   1. aggregate   (serial)    — the quantum reduces to its canonical
+//                                QuantumAggregate through the same flat
+//                                builder the serial detector uses
+//                                (akg/quantum_aggregate.h): at δ = 160
+//                                sorting ~10^3 packed keys costs less
+//                                than a fork/join over the pool;
+//   2. graph + SCP (serial core, parallel hot loops) — the keyword window
+//                                folds its keyword shards, and the AKG
+//                                builder batches Min-Hash signature
+//                                refreshes and edge-correlation
+//                                computations, through the pool; then the
+//                                single-writer ScpMaintainer applies the
+//                                structural delta;
+//   3. snapshot    (parallel)  — per-cluster report cores compute on the
 //                                pool and merge in canonical (cluster id,
 //                                then rank) order.
 //
@@ -36,6 +35,7 @@
 #include <optional>
 #include <vector>
 
+#include "akg/quantum_aggregate.h"
 #include "detect/checkpoint.h"
 #include "detect/config.h"
 #include "detect/detector.h"
@@ -145,12 +145,11 @@ class ParallelDetector {
   }
 
  private:
-  /// Stage 1 + 2: the canonical aggregate, built on keyword shards.
-  akg::QuantumAggregate ShardAggregate(const stream::Quantum& quantum);
-
   ShardPool pool_;  // outlives detector_'s parallel hook
   detect::EventDetector detector_;
   stream::Quantizer quantizer_;
+  // Stage 1's aggregate, rebuilt in place every quantum.
+  akg::QuantumAggregate aggregate_;
 };
 
 }  // namespace scprt::engine

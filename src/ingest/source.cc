@@ -1,8 +1,8 @@
 #include "ingest/source.h"
 
-#include <cctype>
 #include <charconv>
 #include <fstream>
+#include <limits>
 
 #include "ingest/jsonl.h"
 #include "ingest/text_export.h"
@@ -11,18 +11,32 @@ namespace scprt::ingest {
 
 namespace {
 
-// Reads the next non-blank line; false at end of stream.
-bool NextLine(std::istream& in, std::string& line) {
-  while (std::getline(in, line)) {
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    std::size_t i = 0;
-    while (i < line.size() &&
-           std::isspace(static_cast<unsigned char>(line[i]))) {
-      ++i;
+// Reads the next non-blank line into `buffer` and points `line` at it;
+// false at end of stream. A line longer than kMaxRecordBytes is skipped
+// through its newline without being buffered and counted in `malformed`.
+bool NextLine(std::istream& in, std::string& buffer, std::string_view& line,
+              std::uint64_t& malformed) {
+  // Room for the longest record plus getline's terminating NUL.
+  buffer.resize(kMaxRecordBytes + 1);
+  for (;;) {
+    in.getline(buffer.data(), static_cast<std::streamsize>(buffer.size()));
+    if (in.fail()) {
+      // Nothing extracted at end of stream, or a read error.
+      if (in.eof() || in.bad()) return false;
+      // The buffer filled before the newline: drop the rest unread.
+      in.clear();
+      in.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
+      ++malformed;
+      continue;
     }
-    if (i < line.size()) return true;
+    // gcount() includes the newline unless the last line lacks one.
+    std::size_t length =
+        static_cast<std::size_t>(in.gcount()) - (in.eof() ? 0 : 1);
+    if (length > 0 && buffer[length - 1] == '\r') --length;
+    line = std::string_view(buffer.data(), length);
+    // The characters std::isspace accepts in the "C" locale.
+    if (line.find_first_not_of(" \t\n\v\f\r") != line.npos) return true;
   }
-  return false;
 }
 
 // Strict decimal parse of a whole field into Int.
@@ -77,9 +91,10 @@ JsonlSource::JsonlSource(const std::string& path) {
 
 bool JsonlSource::Next(RawRecord& out) {
   if (!in_) return false;
-  while (NextLine(*in_, line_)) {
+  std::string_view line;
+  while (NextLine(*in_, buffer_, line, malformed_)) {
     JsonlRecord record;
-    if (!ParseJsonlRecord(line_, record)) {
+    if (!ParseJsonlRecord(line, record)) {
       ++malformed_;
       continue;
     }
@@ -114,9 +129,9 @@ bool TsvSource::Seek(const SourcePosition& position) {
 
 bool TsvSource::Next(RawRecord& out) {
   if (!in_) return false;
-  while (NextLine(*in_, line_)) {
-    if (line_[0] == '#') continue;
-    const std::string_view line = line_;
+  std::string_view line;
+  while (NextLine(*in_, buffer_, line, malformed_)) {
+    if (line[0] == '#') continue;
     const std::size_t tab = line.find('\t');
     if (tab == std::string_view::npos) {
       ++malformed_;

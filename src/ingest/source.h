@@ -9,6 +9,7 @@
 #ifndef SCPRT_INGEST_SOURCE_H_
 #define SCPRT_INGEST_SOURCE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <istream>
 #include <memory>
@@ -76,9 +77,15 @@ class MessageSource {
   }
 };
 
+/// Longest JSONL/TSV record the stream-backed sources accept, in bytes,
+/// its newline not counted (docs/formats.md, record size limit). A longer
+/// record is skipped through its newline without being buffered and
+/// counted as malformed.
+inline constexpr std::size_t kMaxRecordBytes = 64 * 1024;
+
 /// JSON-lines raw text: one {"user":N,"text":"...","event":N?} per line
 /// (see ingest/jsonl.h for the schema). Blank lines are skipped silently;
-/// malformed lines are skipped and counted.
+/// malformed and oversized lines are skipped and counted.
 class JsonlSource : public MessageSource {
  public:
   /// Reads from a stream owned by the caller (must outlive the source).
@@ -96,14 +103,15 @@ class JsonlSource : public MessageSource {
  private:
   std::unique_ptr<std::istream> owned_;
   std::istream* in_ = nullptr;
-  std::string line_;
+  std::string buffer_;  // the current record
   std::uint64_t malformed_ = 0;
   SourcePosition position_;
 };
 
 /// Tab-separated raw text: `user<TAB>text` or `user<TAB>event<TAB>text`.
 /// Lines starting with '#' and blank lines are skipped silently; malformed
-/// lines (bad user id, missing text column) are skipped and counted.
+/// lines (bad user id, missing text column, oversized) are skipped and
+/// counted.
 class TsvSource : public MessageSource {
  public:
   explicit TsvSource(std::istream& in) : in_(&in) {}
@@ -119,7 +127,7 @@ class TsvSource : public MessageSource {
  private:
   std::unique_ptr<std::istream> owned_;
   std::istream* in_ = nullptr;
-  std::string line_;
+  std::string buffer_;  // the current record
   std::uint64_t malformed_ = 0;
   SourcePosition position_;
 };

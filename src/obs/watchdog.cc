@@ -184,7 +184,6 @@ std::vector<WatchdogRule> DefaultWatchdogRules() {
   static const char* const kDefaults =
       "ingest.dispatch_stall_ns:p95>250ms@30s:degraded,"
       "wal.append_ns:mean>20ms@30s:degraded,"
-      "engine.shard_imbalance:value>8@30s:degraded,"
       "store.query_latency:p95>50ms@60s:degraded";
   std::vector<WatchdogRule> rules;
   std::string error;

@@ -6,7 +6,6 @@
 #include <memory>
 #include <set>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 
 #include <gtest/gtest.h>
@@ -22,6 +21,9 @@
 #include "common/parallel.h"
 #include "common/random.h"
 #include "engine/shard_pool.h"
+#include "stream/quantizer.h"
+#include "stream/synthetic.h"
+#include "tree_reduce.h"
 
 namespace scprt::akg {
 namespace {
@@ -91,13 +93,17 @@ using Occurrences = std::vector<std::pair<KeywordId, UserId>>;
 // An unweighted window of length `w` for the id-set tests.
 UserIdSets IdSets(std::size_t w) { return UserIdSets(w, 4, 7, false); }
 
-// Ingests one quantum built through the canonical aggregation path.
+// Ingests one quantum built through the canonical aggregation path, one
+// message per occurrence.
 void IngestQuantum(UserIdSets& sets, const Occurrences& occurrences) {
-  std::unordered_map<KeywordId, std::vector<UserId>> users_of;
+  stream::Quantum quantum;
   for (const auto& [keyword, user] : occurrences) {
-    users_of[keyword].push_back(user);
+    stream::Message m;
+    m.user = user;
+    m.keywords = {keyword};
+    quantum.messages.push_back(std::move(m));
   }
-  sets.IngestAggregate(CanonicalAggregate(std::move(users_of), 0), nullptr);
+  sets.IngestAggregate(AggregateQuantum(quantum), nullptr);
 }
 
 TEST(UserIdSetsTest, QuantumSupportCountsDistinctUsers) {
@@ -532,6 +538,46 @@ TEST(AkgBuilderTest, RestoreRejectsSketchesFromAnotherStream) {
   EXPECT_EQ(forged.id_sets().active_keywords(), 0u);
 }
 
+// A restore that fails late — a tw snapshot cut 30 bytes short, past the
+// node-state section — leaves every layer empty, node states included, so
+// the builder then runs exactly like a fresh one.
+TEST(AkgBuilderTest, FailedRestoreResetsEveryLayer) {
+  stream::SyntheticConfig tw = stream::TimeWindowPreset(42);
+  tw.num_messages = 48'000;
+  const std::vector<stream::Quantum> quanta = stream::SplitIntoQuanta(
+      stream::GenerateSyntheticTrace(tw).messages, 160,
+      /*keep_partial=*/false);
+  ASSERT_GT(quanta.size(), 200u);
+  const AkgConfig config;
+  const auto no_cluster = [](KeywordId) { return false; };
+  AkgBuilder source(config, no_cluster);
+  for (std::size_t q = 0; q + 1 < quanta.size(); ++q) {
+    source.ProcessQuantum(quanta[q]);
+  }
+  ASSERT_GT(source.node_state().tracked_keywords(), 0u);
+  BinaryWriter out;
+  source.Save(out);
+  const std::string bytes = out.data();
+  const std::string truncated = bytes.substr(0, bytes.size() - 30);
+
+  AkgBuilder restored(config, no_cluster);
+  for (std::size_t q = 0; q < 20; ++q) restored.ProcessQuantum(quanta[q]);
+  BinaryReader in(truncated);
+  EXPECT_FALSE(restored.Restore(in));
+  EXPECT_EQ(restored.node_state().tracked_keywords(), 0u);
+  EXPECT_EQ(restored.node_state().akg_size(), 0u);
+  EXPECT_EQ(restored.id_sets().active_keywords(), 0u);
+
+  AkgBuilder fresh(config, no_cluster);
+  restored.ProcessQuantum(quanta.back());
+  fresh.ProcessQuantum(quanta.back());
+  BinaryWriter restored_bytes;
+  restored.Save(restored_bytes);
+  BinaryWriter fresh_bytes;
+  fresh.Save(fresh_bytes);
+  EXPECT_EQ(restored_bytes.data(), fresh_bytes.data());
+}
+
 // --- Differential check of the flat window state against a map model ---
 //
 // The reference model below keeps the textbook layout: per-keyword
@@ -552,12 +598,13 @@ class RefIdSets {
     support_.clear();
     keywords_.clear();
     std::vector<std::pair<KeywordId, UserId>> pairs;
-    for (const auto& entry : aggregate.keywords) {
-      support_[entry.keyword] = entry.users.size();
-      keywords_.push_back(entry.keyword);
-      for (UserId user : entry.users) {
-        ++window_[entry.keyword][user];
-        pairs.emplace_back(entry.keyword, user);
+    for (std::size_t i = 0; i < aggregate.size(); ++i) {
+      const KeywordId keyword = aggregate.keywords[i];
+      support_[keyword] = aggregate.UsersOf(i).size();
+      keywords_.push_back(keyword);
+      for (UserId user : aggregate.UsersOf(i)) {
+        ++window_[keyword][user];
+        pairs.emplace_back(keyword, user);
       }
     }
     history_.push_back(std::move(pairs));
@@ -711,9 +758,9 @@ class RefSketchWindow {
 
   void Ingest(const QuantumAggregate& aggregate) {
     std::map<KeywordId, WeightedSketch> slot;
-    for (const auto& entry : aggregate.keywords) {
-      slot[entry.keyword] =
-          hasher_.QuantumSketch(aggregate.index, entry.users, entry.counts);
+    for (std::size_t i = 0; i < aggregate.size(); ++i) {
+      slot[aggregate.keywords[i]] = hasher_.QuantumSketch(
+          aggregate.index, aggregate.UsersOf(i), aggregate.CountsOf(i));
     }
     ring_.push_back(std::move(slot));
     if (ring_.size() > w_) ring_.pop_front();
@@ -805,13 +852,13 @@ QuantumAggregate RandomAggregate(Rng& rng, QuantumIndex index,
   QuantumAggregate aggregate;
   aggregate.index = index;
   for (const auto& [keyword, users] : users_of) {
-    QuantumAggregate::Entry entry;
-    entry.keyword = keyword;
+    aggregate.keywords.push_back(keyword);
     for (const auto& [user, count] : users) {
-      entry.users.push_back(user);
-      entry.counts.push_back(count);
+      aggregate.users.push_back(user);
+      aggregate.counts.push_back(count);
     }
-    aggregate.keywords.push_back(std::move(entry));
+    aggregate.offsets.push_back(
+        static_cast<std::uint32_t>(aggregate.users.size()));
   }
   return aggregate;
 }
@@ -906,9 +953,10 @@ TEST_P(AkgWindowDiffTest, FlatStateMatchesReferenceModel) {
     ref_ids.Ingest(aggregate);
     ref_sketches.Ingest(aggregate);
     std::vector<std::pair<KeywordId, std::uint32_t>> counts;
-    for (const auto& entry : aggregate.keywords) {
-      counts.emplace_back(entry.keyword,
-                          static_cast<std::uint32_t>(entry.users.size()));
+    for (std::size_t i = 0; i < aggregate.size(); ++i) {
+      const std::size_t users = aggregate.UsersOf(i).size();
+      counts.emplace_back(aggregate.keywords[i],
+                          static_cast<std::uint32_t>(users));
     }
     const NodeStateUpdate want = ref_nodes.ProcessQuantum(
         now, counts, [now](KeywordId k) { return PseudoInCluster(k, now); });

@@ -8,8 +8,10 @@
 
 #include <atomic>
 #include <sstream>
+#include <streambuf>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "ingest/admission.h"
@@ -130,6 +132,77 @@ TEST(JsonlSourceTest, StreamsRecordsSkippingMalformed) {
   EXPECT_EQ(record.event_id, 3);
   EXPECT_FALSE(source.Next(record));
   EXPECT_EQ(source.malformed_count(), 1u);
+}
+
+// A stream of `prefix`, `filler` bytes of 'x', then `suffix`, produced
+// 64 KiB at a time: no copy of the long line is ever held.
+class FilledStreamBuf : public std::streambuf {
+ public:
+  FilledStreamBuf(std::string prefix, std::size_t filler, std::string suffix)
+      : prefix_(std::move(prefix)),
+        filler_(filler),
+        suffix_(std::move(suffix)),
+        chunk_(64 * 1024) {}
+
+ protected:
+  int_type underflow() override {
+    const std::size_t total = prefix_.size() + filler_ + suffix_.size();
+    std::size_t n = 0;
+    while (n < chunk_.size() && pos_ < total) chunk_[n++] = At(pos_++);
+    if (n == 0) return traits_type::eof();
+    setg(chunk_.data(), chunk_.data(), chunk_.data() + n);
+    return traits_type::to_int_type(chunk_[0]);
+  }
+
+ private:
+  char At(std::size_t i) const {
+    if (i < prefix_.size()) return prefix_[i];
+    i -= prefix_.size();
+    return i < filler_ ? 'x' : suffix_[i - filler_];
+  }
+
+  std::string prefix_;
+  std::size_t filler_;
+  std::string suffix_;
+  std::vector<char> chunk_;
+  std::size_t pos_ = 0;
+};
+
+TEST(JsonlSourceTest, SkipsA50MegabyteRecordAndKeepsReading) {
+  const std::string head =
+      "{\"user\": 1, \"text\": \"before\"}\n{\"user\": 2, \"text\": \"";
+  const std::string tail = "\"}\n{\"user\": 3, \"text\": \"after\"}\n";
+  FilledStreamBuf buf(head, 50u << 20, tail);
+  std::istream in(&buf);
+  JsonlSource source(in);
+  RawRecord record;
+  ASSERT_TRUE(source.Next(record));
+  EXPECT_EQ(record.user, 1u);
+  ASSERT_TRUE(source.Next(record));
+  EXPECT_EQ(record.user, 3u);
+  EXPECT_EQ(record.text, "after");
+  EXPECT_FALSE(source.Next(record));
+  EXPECT_EQ(source.malformed_count(), 1u);
+}
+
+TEST(TsvSourceTest, RecordSizeLimitIsExact) {
+  // A record of exactly kMaxRecordBytes is read; one byte more is skipped,
+  // as is a 50 MB record; a final line without a newline still counts.
+  std::string input = "1\t" + std::string(kMaxRecordBytes - 2, 'a') + "\n";
+  input += "2\t" + std::string(kMaxRecordBytes - 1, 'b') + "\n";
+  input += "3\t";
+  FilledStreamBuf buf(input, 50u << 20, "\n4\tlast");
+  std::istream in(&buf);
+  TsvSource source(in);
+  RawRecord record;
+  ASSERT_TRUE(source.Next(record));
+  EXPECT_EQ(record.user, 1u);
+  EXPECT_EQ(record.text.size(), kMaxRecordBytes - 2);
+  ASSERT_TRUE(source.Next(record));
+  EXPECT_EQ(record.user, 4u);
+  EXPECT_EQ(record.text, "last");
+  EXPECT_FALSE(source.Next(record));
+  EXPECT_EQ(source.malformed_count(), 2u);
 }
 
 TEST(JsonlSourceTest, MissingFileReportsNotOk) {

@@ -378,7 +378,8 @@ TEST(LshIndexTest, KeywordSpamCannotPromoteAPastEvent) {
   // means the count lands in ONE entry's weight — exactly how PR 6's
   // deduped aggregation feeds it.
   const akg::WeightedSketch spam =
-      hasher.QuantumSketch(0, {777}, {100'000});
+      hasher.QuantumSketch(0, std::vector<UserId>{777},
+                           std::vector<std::uint32_t>{100'000});
 
   ASSERT_TRUE(
       index->Insert(1, 5, 0, 1.0, 500, keywords, genuine, kSketchP).ok());
@@ -408,7 +409,10 @@ TEST(LshIndexTest, SpamImmunityHoldsAfterSketchMerge) {
   akg::WeightedSketch merged;
   for (QuantumIndex q = 0; q < 50; ++q) {
     merged = akg::WeightedMinHasher::Combine(
-        merged, hasher.QuantumSketch(q, {777}, {2'000}), kSketchP);
+        merged,
+        hasher.QuantumSketch(q, std::vector<UserId>{777},
+                             std::vector<std::uint32_t>{2'000}),
+        kSketchP);
   }
   const double estimate =
       akg::WeightedMinHasher::EstimateDistinctUsers(merged, kSketchP);

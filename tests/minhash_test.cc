@@ -16,9 +16,14 @@
 #include "common/random.h"
 #include "common/types.h"
 #include "engine/shard_pool.h"
+#include "tree_reduce.h"
 
 namespace scprt::akg {
 namespace {
+
+// QuantumSketch takes spans; literal id and count lists need a container.
+using Users = std::vector<UserId>;
+using Counts = std::vector<std::uint32_t>;
 
 std::vector<UserId> RandomUsers(Rng& rng, std::size_t count) {
   std::vector<UserId> users;
@@ -94,14 +99,14 @@ TEST(WeightedMinHashTest, CombineAlgebra) {
 
 TEST(WeightedMinHashTest, FoldIntoShapes) {
   WeightedMinHasher hasher(3, 7, /*weighted=*/false);
-  const WeightedSketch one = hasher.QuantumSketch(0, {1, 2, 3, 4, 5}, {});
+  const WeightedSketch one = hasher.QuantumSketch(0, Users{1, 2, 3, 4, 5}, {});
   EXPECT_TRUE(FoldAll({}, 3).empty());
   EXPECT_EQ(FoldAll({one}, 3), one);
   // Later parts merge into a full accumulator.
-  const WeightedSketch two = hasher.QuantumSketch(0, {6, 7}, {});
-  const WeightedSketch three = hasher.QuantumSketch(0, {8}, {});
+  const WeightedSketch two = hasher.QuantumSketch(0, Users{6, 7}, {});
+  const WeightedSketch three = hasher.QuantumSketch(0, Users{8}, {});
   const WeightedSketch whole =
-      hasher.QuantumSketch(0, {1, 2, 3, 4, 5, 6, 7, 8}, {});
+      hasher.QuantumSketch(0, Users{1, 2, 3, 4, 5, 6, 7, 8}, {});
   EXPECT_EQ(FoldAll({one, two, three}, 3), whole);
 }
 
@@ -208,7 +213,7 @@ TEST(WeightedMinHashTest, WeightedResemblanceEndpoints) {
   const WeightedSketch a = hasher.QuantumSketch(2, users, counts);
   EXPECT_DOUBLE_EQ(WeightedMinHasher::EstimateResemblance(a, a, 4), 1.0);
   const WeightedSketch disjoint =
-      hasher.QuantumSketch(2, {100, 200, 300}, {2, 2, 2});
+      hasher.QuantumSketch(2, Users{100, 200, 300}, Counts{2, 2, 2});
   EXPECT_DOUBLE_EQ(WeightedMinHasher::EstimateResemblance(a, disjoint, 4),
                    0.0);
   EXPECT_DOUBLE_EQ(

@@ -107,7 +107,7 @@ TEST(WatchdogRules, ParsesCommaListsAndDefaults) {
 
   const std::vector<obs::WatchdogRule> defaults =
       obs::DefaultWatchdogRules();
-  ASSERT_EQ(defaults.size(), 4u);
+  ASSERT_EQ(defaults.size(), 3u);
   for (const obs::WatchdogRule& rule : defaults) {
     EXPECT_EQ(rule.severity, obs::Health::kDegraded) << rule.source;
   }
